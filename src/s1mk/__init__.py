@@ -6,11 +6,8 @@ continuation solver for the underlying Monge-Ampere type equation.
 """
 
 from .body import (
-    BoundaryPoint,
-    RadialSamples,
     SupportFunction,
     area,
-    boundary,
     boundary_xy,
     centroid,
     diameter,
@@ -101,10 +98,10 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundaryPoint", "RadialSamples", "SupportFunction", "area", "boundary",
-    "boundary_xy", "centroid", "diameter", "disk", "ellipse_body", "from_json",
-    "from_samples", "minkowski_sum", "p_sum", "perimeter", "radial",
-    "rho_at_normal", "rotate", "scale", "to_json", "translate",
+    "SupportFunction", "area", "boundary_xy", "centroid", "diameter", "disk",
+    "ellipse_body", "from_json", "from_samples", "minkowski_sum", "p_sum",
+    "perimeter", "radial", "rho_at_normal", "rotate", "scale", "to_json",
+    "translate",
     "DegenerateCurvatureWarning", "EllipseSolveError", "InvariantViolationError",
     "NegativeSupportError", "NonconvexError", "OriginOnBoundaryError",
     "ParameterRangeError", "SingularDensityError", "SingularJacobianError",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,19 +81,6 @@ class SupportFunction:
         return self._curv
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    x: np.ndarray
-    normal_angle: float
-
-
-@dataclass(frozen=True)
-class RadialSamples:
-    """Radial function samples rho(xi) > 0 over direction angles."""
-
-    rho: PeriodicSamples
-
-
 def from_samples(values, grid: Grid, tol_convex: float | None = None) -> SupportFunction:
     """Build a body from raw support values, validating the class invariants."""
     return SupportFunction(PeriodicSamples(np.asarray(values, dtype=float), grid),
@@ -118,12 +104,6 @@ def boundary_xy(body: SupportFunction) -> np.ndarray:
     return np.column_stack([x, y])
 
 
-def boundary(body: SupportFunction) -> list[BoundaryPoint]:
-    pts = boundary_xy(body)
-    t = body.grid.theta
-    return [BoundaryPoint(pts[i], float(t[i])) for i in range(len(t))]
-
-
 def rho_at_normal(body: SupportFunction) -> PeriodicSamples:
     """Distance from the origin to the boundary point with normal angle theta."""
     h = body.values
@@ -132,8 +112,8 @@ def rho_at_normal(body: SupportFunction) -> PeriodicSamples:
 
 
 def radial(body: SupportFunction, out_grid: Grid | None = None,
-           tol: float = 1e-10) -> RadialSamples:
-    """Radial function of the body sampled at the angles of ``out_grid``.
+           tol: float = 1e-10) -> PeriodicSamples:
+    """Radial function rho(xi) > 0 of the body at the angles of ``out_grid``.
 
     For each direction the coarse minimum of h(u)/<u, xi> over grid normals is
     refined by bisection on the boundary parametrization: the offset
@@ -189,7 +169,7 @@ def radial(body: SupportFunction, out_grid: Grid | None = None,
 
     phi = 0.5 * (lo + hi)
     rho = trig_eval(hs, phi) * np.cos(phi - a) - trig_eval(hps, phi) * np.sin(phi - a)
-    return RadialSamples(PeriodicSamples(rho, out_grid))
+    return PeriodicSamples(rho, out_grid)
 
 
 def area(body: SupportFunction) -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -160,8 +161,7 @@ _CONFIG_KEYS = {
     "eps_sweep": "eps_sweep", "trace": "trace",
 }
 
-_SOLVER_KEYS = ("newton_tol", "max_newton", "continuation_steps",
-                "damping_min", "positivity_floor")
+_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
 
 _DEFAULTS = {
     "solve": {"grid": 256, "seed": 0, "out": "."},

@@ -18,7 +18,7 @@ the q = 2 identity with area exact; reports carry that normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,38 +73,46 @@ class VariationalReport:
     normalization: float | None = None
 
 
-def _lp_factor(h: np.ndarray, p: float) -> np.ndarray:
+def singular_floor(values: np.ndarray) -> float:
+    """Scale-aware level at or below which a positive factor counts as zero."""
+    return _SINGULAR_TOL * max(float(np.max(values)), 1.0)
+
+
+def _lp_factor(h: np.ndarray, p: float):
+    """h^(1-p) and the mask of samples where it varies with h.
+
+    For p < 1 the factor vanishes as h -> 0, so support values at or below
+    the floor are cut to zero and held fixed; for p > 1 they are singular.
+    """
     if p == 1.0:
-        return np.ones_like(h)
-    if p < 1.0:
-        # h -> 0 kills the density since 1 - p > 0; cut at a tiny floor.
-        floor = _SINGULAR_TOL * max(float(h.max()), 1.0)
-        return np.where(h > floor, h, 0.0) ** (1.0 - p)
-    floor = _SINGULAR_TOL * max(float(h.max()), 1.0)
-    if float(h.min()) <= floor:
+        return np.ones_like(h), np.zeros(h.shape, dtype=bool)
+    active = h > singular_floor(h)
+    if p > 1.0 and not active.all():
         raise SingularDensityError(
             f"h^(1-p) with p = {p} > 1 is singular: min h = {float(h.min()):.3e}"
         )
-    return h ** (1.0 - p)
+    return np.where(active, h, 0.0) ** (1.0 - p), active
+
+
+def lp_dual_kernel(h: np.ndarray, hp: np.ndarray, curv: np.ndarray,
+                   p: float, q: float) -> np.ndarray:
+    """lp_dual density values h^(1-p) (h^2 + h'^2)^((q-2)/2) (h'' + h)."""
+    lp, _ = _lp_factor(h, p)
+    if q == 2.0:
+        return lp * curv
+    return lp * (h * h + hp * hp) ** (0.5 * (q - 2.0)) * curv
 
 
 def _density_core(body: SupportFunction, p: float, q: float) -> PeriodicSamples:
     h = body.values
-    curv = body.curvature.values
-    lp = _lp_factor(h, p)
-    if q == 2.0:
-        vals = lp * curv
-    else:
-        hp = body.derivative.values
-        speed2 = h * h + hp * hp
-        if q < 2.0:
-            floor = _SINGULAR_TOL * max(float(np.sqrt(speed2.max())), 1.0)
-            if float(np.sqrt(speed2.min())) <= floor:
-                raise SingularDensityError(
-                    f"speed factor with q = {q} < 2 singular: boundary meets the origin"
-                )
-        vals = lp * speed2 ** (0.5 * (q - 2.0)) * curv
-    return PeriodicSamples(vals, body.grid)
+    hp = body.derivative.values
+    if q < 2.0:
+        speed = np.sqrt(h * h + hp * hp)
+        if float(speed.min()) <= singular_floor(speed):
+            raise SingularDensityError(
+                f"speed factor with q = {q} < 2 singular: boundary meets the origin"
+            )
+    return PeriodicSamples(lp_dual_kernel(h, hp, body.curvature.values, p, q), body.grid)
 
 
 def surface_density(body: SupportFunction) -> MeasureDensity:
@@ -132,8 +140,7 @@ def dual_volume(body: SupportFunction, q: float) -> float:
         raise ParameterRangeError("dual volume index q must be nonzero")
     if float(np.min(body.values)) <= 0.0:
         raise OriginOnBoundaryError("dual volume needs the origin strictly inside")
-    rho = radial(body).rho
-    return 0.5 * integrate(PeriodicSamples(rho.values**q, body.grid))
+    return 0.5 * integrate(PeriodicSamples(radial(body).values**q, body.grid))
 
 
 def extrapolate_to_zero(steps, values) -> float:
@@ -179,7 +186,7 @@ def check_lp_variational(k: SupportFunction, l: SupportFunction, p: float,
                                steps)
     lhs = extrapolate_to_zero(steps, slopes)
     hl = _on_grid(k, l)
-    integrand = hl**p * _lp_factor(k.values, p) * k.curvature.values
+    integrand = hl**p * _lp_factor(k.values, p)[0] * k.curvature.values
     rhs = integrate(PeriodicSamples(integrand, k.grid)) / p
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return VariationalReport(lhs, rhs, rel, tuple(steps), slopes)

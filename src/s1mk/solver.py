@@ -1,15 +1,17 @@
 """Damped Newton with data continuation for the prescribed-measure equation.
 
-The residual of a candidate support function h against data f is
+The residual of a candidate support function h against data f is its lp_dual
+density minus the data,
 
     F(h) = h^(1-p) (h^2 + h'^2)^((q-2)/2) (h'' + h) - f,
 
-discretized spectrally on the grid of f.  The exact Frechet derivative is
-assembled as a dense matrix from the differentiation matrices and solved by LU
-with a LAPACK condition estimate.  ``solve`` ramps the data from the constant 1
-to f over a fixed number of continuation stages; each stage runs damped Newton
-with backtracking on the Euclidean residual norm, rejecting any step that
-leaves the cone of nonnegative convex support functions.
+discretized spectrally on the grid of f and evaluated by the density kernel of
+``measures``.  The exact Frechet derivative is assembled as a dense matrix from
+the differentiation matrices and solved by LU with a LAPACK condition estimate.
+``solve`` ramps the data from the constant 1 to f over a fixed number of
+continuation stages; each stage runs damped Newton with backtracking on the
+Euclidean residual norm, rejecting any step that leaves the cone of
+nonnegative convex support functions.
 """
 
 from __future__ import annotations
@@ -20,14 +22,9 @@ import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .body import DEFAULT_TOL_CONVEX_SCALE, SupportFunction
-from .errors import (
-    ParameterRangeError,
-    SingularDensityError,
-    SingularJacobianError,
-    StagnationError,
-)
+from .errors import ParameterRangeError, SingularJacobianError, StagnationError
 from .grid import Grid, PeriodicSamples, diff, diff_matrix
-from .measures import ProblemParams
+from .measures import ProblemParams, _lp_factor, lp_dual_kernel, singular_floor
 
 RCOND_LIMIT = 1e-14
 
@@ -38,8 +35,6 @@ class SolverConfig:
     max_newton: int = 50
     continuation_steps: int = 10
     damping_min: float = 1e-4
-    positivity_floor: float = 1e-8
-    grid: Grid | None = None
 
     def __post_init__(self):
         if self.continuation_steps < 1:
@@ -67,85 +62,45 @@ class LinearizedSpectrum:
     invertible: bool
 
 
-def _residual_values(h: np.ndarray, hp: np.ndarray, hpp: np.ndarray,
-                     f: np.ndarray, p: float, q: float, floor: float) -> np.ndarray:
-    curv = hpp + h
-    if p == 1.0:
-        lp = np.ones_like(h)
-    elif p < 1.0:
-        lp = np.where(h > floor, h, 0.0) ** (1.0 - p)
-    else:
-        if float(h.min()) <= floor:
-            raise SingularDensityError(
-                f"residual singular: min h = {float(h.min()):.3e} <= floor with p = {p}"
-            )
-        lp = h ** (1.0 - p)
-    if q == 2.0:
-        return lp * curv - f
-    w = h * h + hp * hp
-    return lp * w ** (0.5 * (q - 2.0)) * curv - f
-
-
 def residual(body: SupportFunction, params: ProblemParams) -> PeriodicSamples:
-    """Equation residual F(h) on the grid of the data."""
+    """Equation residual F(h): the lp_dual density of the body minus the data."""
     if body.grid.n_points != params.f.grid.n_points:
         raise ValueError("body and data must share a grid")
-    cfg = SolverConfig()
-    vals = _residual_values(body.values, body.derivative.values,
-                            diff(body.h, 2).values, params.f.values,
-                            params.p, params.q, cfg.positivity_floor)
-    return PeriodicSamples(vals, body.grid)
+    vals = lp_dual_kernel(body.values, body.derivative.values, body.curvature.values,
+                          params.p, params.q)
+    return PeriodicSamples(vals - params.f.values, body.grid)
 
 
-def _jacobian_matrix(h: np.ndarray, hp: np.ndarray, hpp: np.ndarray,
-                     p: float, q: float, floor: float, grid: Grid) -> np.ndarray:
+def _jacobian_matrix(h: np.ndarray, hp: np.ndarray, curv: np.ndarray,
+                     p: float, q: float, grid: Grid) -> np.ndarray:
     n = h.shape[0]
     d1 = diff_matrix(grid, 1)
     d2 = diff_matrix(grid, 2)
-    curv = hpp + h
-    w = h * h + hp * hp
-
-    # lp_prime is the coefficient (1-p) h^(-p) of the zeroth-order term.
-    if p == 1.0:
-        lp = np.ones_like(h)
-        lp_prime = np.zeros_like(h)
-    elif p < 1.0:
-        active = h > floor
-        lp = np.where(active, h, 0.0) ** (1.0 - p)
-        lp_prime = np.where(active, (1.0 - p) * np.where(active, h, 1.0) ** (-p), 0.0)
-    else:
-        if float(h.min()) <= floor:
-            raise SingularDensityError(
-                f"jacobian singular: min h = {float(h.min()):.3e} <= floor with p = {p}"
-            )
-        lp = h ** (1.0 - p)
-        lp_prime = (1.0 - p) * h ** (-p)
+    idx = np.arange(n)
+    lp, active = _lp_factor(h, p)
+    # lp_prime is the coefficient (1-p) h^(-p) of the zeroth-order term; it
+    # vanishes where the factor does not vary with h.
+    lp_prime = np.where(active, (1.0 - p) * np.where(active, h, 1.0) ** (-p), 0.0)
 
     if q == 2.0:
-        wfac = np.ones_like(h)
-        diag = lp_prime * curv
-        jac = wfac * lp
-        mat = jac[:, None] * d2
-        idx = np.arange(n)
-        mat[idx, idx] += diag + jac
+        mat = lp[:, None] * d2
+        mat[idx, idx] += lp_prime * curv + lp
         return mat
 
+    w = h * h + hp * hp
     wfac = w ** (0.5 * (q - 2.0))
     wfac4 = w ** (0.5 * (q - 4.0))
     t2 = lp * (q - 2.0) * wfac4 * curv
     t3 = lp * wfac
     mat = t3[:, None] * d2 + (t2 * hp)[:, None] * d1
-    idx = np.arange(n)
     mat[idx, idx] += lp_prime * wfac * curv + t2 * h + t3
     return mat
 
 
 def jacobian(body: SupportFunction, params: ProblemParams) -> np.ndarray:
     """Dense Frechet derivative DF(h) on grid values."""
-    cfg = SolverConfig()
-    return _jacobian_matrix(body.values, body.derivative.values,
-                            diff(body.h, 2).values, params.p, params.q,
-                            cfg.positivity_floor, body.grid)
+    return _jacobian_matrix(body.values, body.derivative.values, body.curvature.values,
+                            params.p, params.q, body.grid)
 
 
 def linearized_spectrum(p: float, k_max: int = 16) -> LinearizedSpectrum:
@@ -162,29 +117,21 @@ def linearized_spectrum(p: float, k_max: int = 16) -> LinearizedSpectrum:
     return LinearizedSpectrum(p, shifted, bool(np.min(np.abs(shifted)) > 1e-12))
 
 
-def _curvature_of(vals: np.ndarray, grid: Grid) -> np.ndarray:
-    return diff(PeriodicSamples(vals, grid), 2).values + vals
+def _newton_stage(h, hp, curv, f, p, q, cfg: SolverConfig, grid: Grid,
+                  trace: list, t_label: float):
+    """Damped Newton on fixed data.
 
-
-def _newton_stage(h: np.ndarray, f: np.ndarray, p: float, q: float,
-                  cfg: SolverConfig, grid: Grid, trace: list, t_label: float):
-    """Damped Newton on fixed data; returns (h, res_sup, iterations, converged)."""
+    (h, hp, curv) are the iterate with its first derivative and curvature
+    density; returns the final such triple, its residual sup and the number
+    of iterations.
+    """
     gecon = get_lapack_funcs("gecon", (np.empty((2, 2)),))
-    floor = cfg.positivity_floor
-
-    def residual_of(vals):
-        s = PeriodicSamples(vals, grid)
-        return _residual_values(vals, diff(s, 1).values, diff(s, 2).values,
-                                f, p, q, floor)
-
-    r = residual_of(h)
+    r = lp_dual_kernel(h, hp, curv, p, q) - f
     res_sup = float(np.max(np.abs(r)))
     res_l2 = float(np.linalg.norm(r))
     it = 0
     while res_sup > cfg.newton_tol and it < cfg.max_newton:
-        s = PeriodicSamples(h, grid)
-        jac = _jacobian_matrix(h, diff(s, 1).values, diff(s, 2).values,
-                               p, q, floor, grid)
+        jac = _jacobian_matrix(h, hp, curv, p, q, grid)
         anorm = float(np.linalg.norm(jac, 1))
         lu, piv = lu_factor(jac)
         rcond, info = gecon(lu, anorm, norm="1")
@@ -199,12 +146,15 @@ def _newton_stage(h: np.ndarray, f: np.ndarray, p: float, q: float,
             cand = h + damping * step
             ok = float(cand.min()) >= 0.0
             if ok and p >= 1.0:
-                ok = float(cand.min()) > floor
+                ok = float(cand.min()) > singular_floor(cand)
             if ok:
+                s = PeriodicSamples(cand, grid)
+                cand_curv = diff(s, 2).values + cand
                 tol_c = DEFAULT_TOL_CONVEX_SCALE * max(float(cand.max()), 1e-300)
-                ok = float(_curvature_of(cand, grid).min()) >= -tol_c
+                ok = float(cand_curv.min()) >= -tol_c
             if ok:
-                r_cand = residual_of(cand)
+                cand_hp = diff(s, 1).values
+                r_cand = lp_dual_kernel(cand, cand_hp, cand_curv, p, q) - f
                 cand_l2 = float(np.linalg.norm(r_cand))
                 ok = np.isfinite(cand_l2) and cand_l2 < res_l2
             if ok:
@@ -216,13 +166,12 @@ def _newton_stage(h: np.ndarray, f: np.ndarray, p: float, q: float,
                     f" residual {res_sup:.3e}",
                     trace=trace,
                 )
-        h = cand
-        r = r_cand
+        h, hp, curv, r = cand, cand_hp, cand_curv, r_cand
         res_l2 = cand_l2
         res_sup = float(np.max(np.abs(r)))
         it += 1
         trace.append((t_label, it, res_sup, damping))
-    return h, res_sup, it, res_sup <= cfg.newton_tol
+    return h, hp, curv, res_sup, it
 
 
 def _initial_values(params: ProblemParams, initial, grid: Grid) -> np.ndarray:
@@ -234,17 +183,29 @@ def _initial_values(params: ProblemParams, initial, grid: Grid) -> np.ndarray:
     return np.full(grid.n_points, mean_f ** (1.0 / (params.q - params.p)))
 
 
-def _finish(h, grid, res_sup, stage_iterations, converged, trace) -> SolveReport:
-    curv = _curvature_of(h, grid)
-    body = SupportFunction(PeriodicSamples(h, grid), validate=False)
+def _run(params: ProblemParams, initial, cfg: SolverConfig, stages) -> SolveReport:
+    """Damped Newton on the data (1 - t) + t f for each stage t in turn."""
+    if params.q == params.p:
+        raise ParameterRangeError("q = p is outside the solvable family")
+    grid = params.f.grid
+    h = _initial_values(params, initial, grid)
+    s = PeriodicSamples(h, grid)
+    hp, curv = diff(s, 1).values, diff(s, 2).values + h
+    trace: list = []
+    iterations: list = []
+    for t in stages:
+        f_t = (1.0 - t) + t * params.f.values
+        h, hp, curv, res_sup, its = _newton_stage(h, hp, curv, f_t, params.p, params.q,
+                                                  cfg, grid, trace, float(t))
+        iterations.append(its)
     return SolveReport(
-        body=body,
+        body=SupportFunction(PeriodicSamples(h, grid), validate=False),
         residual_sup=res_sup,
-        iterations=int(sum(stage_iterations)),
+        iterations=int(sum(iterations)),
         min_h=float(h.min()),
         min_curvature=float(curv.min()),
-        converged=converged,
-        stage_iterations=list(stage_iterations),
+        converged=res_sup <= cfg.newton_tol,
+        stage_iterations=iterations,
         trace=trace,
     )
 
@@ -252,39 +213,14 @@ def _finish(h, grid, res_sup, stage_iterations, converged, trace) -> SolveReport
 def newton_solve(params: ProblemParams, initial: SupportFunction | None = None,
                  config: SolverConfig | None = None) -> SolveReport:
     """Single-stage damped Newton directly on the target data (no continuation)."""
-    cfg = config or SolverConfig()
-    if params.q == params.p:
-        raise ParameterRangeError("q = p is outside the solvable family")
-    grid = params.f.grid
-    h = _initial_values(params, initial, grid)
-    trace: list = []
-    h, res_sup, its, conv = _newton_stage(h, params.f.values, params.p, params.q,
-                                          cfg, grid, trace, 1.0)
-    return _finish(h, grid, res_sup, [its], conv, trace)
+    return _run(params, initial, config or SolverConfig(), (1.0,))
 
 
 def solve(params: ProblemParams, initial: SupportFunction | None = None,
           config: SolverConfig | None = None) -> SolveReport:
     """Continuation from constant data 1 to f, damped Newton per stage."""
     cfg = config or SolverConfig()
-    if params.q == params.p:
-        raise ParameterRangeError("q = p is outside the solvable family")
-    grid = params.f.grid
-    if cfg.grid is not None and cfg.grid.n_points != grid.n_points:
-        raise ValueError("config grid disagrees with the data grid")
-
-    h = _initial_values(params, initial, grid)
-    f = params.f.values
-    trace: list = []
-    iterations: list = []
-    res_sup = np.inf
-    converged = False
-    for t in np.linspace(0.0, 1.0, cfg.continuation_steps + 1):
-        f_t = (1.0 - t) + t * f
-        h, res_sup, its, converged = _newton_stage(h, f_t, params.p, params.q,
-                                                   cfg, grid, trace, float(t))
-        iterations.append(its)
-    return _finish(h, grid, res_sup, iterations, converged, trace)
+    return _run(params, initial, cfg, np.linspace(0.0, 1.0, cfg.continuation_steps + 1))
 
 
 def report_to_dict(report: SolveReport, include_trace: bool = False) -> dict:

@@ -16,7 +16,6 @@ from s1mk import (
     PeriodicSamples,
     SupportFunction,
     area,
-    boundary,
     boundary_xy,
     centroid,
     diameter,
@@ -95,13 +94,6 @@ class TestBoundary:
         residual = (xy[:, 0] / 2.0) ** 2 + xy[:, 1] ** 2 - 1.0
         assert np.max(np.abs(residual)) < 1e-10
 
-    def test_boundary_list_carries_normal_angles(self, unit_disk):
-        pts = boundary(unit_disk)
-        assert len(pts) == unit_disk.grid.n_points
-        assert pts[3].normal_angle == pytest.approx(unit_disk.grid.theta[3])
-        assert np.allclose(pts[3].x, [np.cos(pts[3].normal_angle),
-                                      np.sin(pts[3].normal_angle)], atol=1e-12)
-
     def test_rho_at_normal_is_boundary_distance(self, grid256):
         body = s1mk.random_convex_body(np.random.default_rng(5), grid256)
         xy = boundary_xy(body)
@@ -114,19 +106,19 @@ class TestRadial:
         d = disk(grid256, 1.0, center=(0.3, 0.0))
         t = grid256.theta
         exact = 0.3 * np.cos(t) + np.sqrt(1.0 - 0.09 * np.sin(t) ** 2)
-        assert np.max(np.abs(radial(d).rho.values - exact)) < 1e-9
+        assert np.max(np.abs(radial(d).values - exact)) < 1e-9
 
     def test_ellipse_formula(self, ellipse21):
         t = ellipse21.grid.theta
         exact = 2.0 / np.sqrt(np.cos(t) ** 2 + 4.0 * np.sin(t) ** 2)
-        assert np.max(np.abs(radial(ellipse21).rho.values - exact)) < 1e-9
+        assert np.max(np.abs(radial(ellipse21).values - exact)) < 1e-9
 
     def test_output_grid_override(self, ellipse21):
         out = Grid(128)
         rho = radial(ellipse21, out_grid=out)
-        assert rho.rho.n == 128
+        assert rho.n == 128
         exact = 2.0 / np.sqrt(np.cos(out.theta) ** 2 + 4.0 * np.sin(out.theta) ** 2)
-        assert np.max(np.abs(rho.rho.values - exact)) < 1e-9
+        assert np.max(np.abs(rho.values - exact)) < 1e-9
 
     def test_origin_on_boundary_rejected(self):
         g = Grid(256)

@@ -35,6 +35,24 @@ class TestResidual:
         body = disk(grid256, 8.0 ** (1.0 / (2.0 - 3.0)))
         assert float(np.max(np.abs(residual(body, params).values))) < 1e-13
 
+    def test_is_lp_dual_density_minus_data(self, grid256):
+        import s1mk
+        body = s1mk.random_convex_body(np.random.default_rng(11), grid256)
+        for p in (0.0, 0.5, 1.0, 3.0):
+            for q in (2.0, 3.0):
+                params = _params(p, q, grid256, seed=2)
+                expected = lp_dual_density(body, p, q).density.values - params.f.values
+                assert np.array_equal(residual(body, params).values, expected), (p, q)
+
+    def test_shares_the_density_floor(self, grid256):
+        # min h = 1e-10 lies above the density's scale-aware floor, so the
+        # factor h^(1-p) must be kept there, not cut to zero
+        vals = 1.0 + np.cos(grid256.theta) + 1e-10
+        body = SupportFunction(PeriodicSamples(vals, grid256), validate=False)
+        params = _params(0.5, 2.0, grid256)
+        expected = lp_dual_density(body, 0.5, 2.0).density.values - params.f.values
+        assert np.array_equal(residual(body, params).values, expected)
+
     def test_grid_mismatch(self, grid256, unit_disk):
         f = PeriodicSamples(np.ones(128), Grid(128))
         params = ProblemParams(0.5, 2.0, f)
@@ -202,11 +220,6 @@ class TestSolve:
         with pytest.raises(StagnationError) as exc_info:
             newton_solve(_params(0.5, 2.0, grid256), config=cfg)
         assert len(exc_info.value.trace) >= 3
-
-    def test_config_grid_mismatch(self, grid256):
-        cfg = SolverConfig(grid=Grid(128))
-        with pytest.raises(ValueError, match="config grid"):
-            solve(_params(0.5, 2.0, grid256), config=cfg)
 
     def test_initial_grid_mismatch(self, grid256):
         with pytest.raises(ValueError, match="initial body"):
