@@ -7,9 +7,18 @@ subject to one second-order constraint per hull edge,
     || B a_i || + <a_i, c> <= b_i        for the half-plane <a_i, x> <= b_i.
 
 The program is solved by a log-barrier Newton method with backtracking (five
-unknowns: the three entries of B and the center).  Hull containment gives
-E inside K for free; the classical containment K inside 2E (dilation about the
-center of E) is checked a posteriori, never assumed.
+unknowns: the three entries of B and the center; Boyd and Vandenberghe,
+Convex Optimization, 11.3).  Each stage t is centered until the Newton
+decrement lambda has lambda^2 <= 1e-8 or reaches its roundoff floor, which it
+does from t of about 1e12 on: there a full step from lambda^2 < 1/16 no
+longer cuts lambda^2 by 4x, and the stage ends after that step.  A stage that
+instead runs out of ``max_inner`` steps, fails its backtracking search, or
+steps out of the domain raises ``EllipseSolveError`` with the last iterate as
+``best``; no stage is left uncentered silently.
+
+Hull containment gives E inside K for free; the classical containment K
+inside 2E (dilation about the center of E) is checked a posteriori, never
+assumed.
 """
 
 from __future__ import annotations
@@ -148,6 +157,7 @@ def _barrier_solve(normals, offsets, c_init, fixed_center=None,
     mu = 8.0
     while True:
         phi, grad, hess = _phi_grad_hess(x, t, normals, offsets, fixed_center)
+        prev = np.inf
         for _ in range(max_inner):
             try:
                 step = np.linalg.solve(hess, -grad)
@@ -158,6 +168,12 @@ def _barrier_solve(normals, offsets, c_init, fixed_center=None,
             if lam2 <= 1e-8:
                 # centered to lambda <= 1e-4 (or lost definiteness to roundoff)
                 break
+            # Away from roundoff a full step from lambda^2 < 1/16 cuts lambda^2
+            # by 17x or more (5x is the self-concordant bound).  Less than 4x
+            # means the O(t) gradient's roundoff now sets lambda^2: take this
+            # step, which still removes the decrement the noise hides, and stop.
+            at_floor = prev < 0.0625 and lam2 >= 0.25 * prev
+            prev = lam2
             if lam2 < 0.0625:
                 # lambda < 1/4: the full step stays feasible and contracts
                 # quadratically, and phi differences are below roundoff at
@@ -166,25 +182,34 @@ def _barrier_solve(normals, offsets, c_init, fixed_center=None,
                 phi_c, grad_c, hess_c = _phi_grad_hess(cand, t, normals,
                                                        offsets, fixed_center)
                 if not np.isfinite(phi_c):
-                    break
+                    raise EllipseSolveError(
+                        f"full Newton step left the domain at t = {t:.3g}, "
+                        f"lambda^2 = {lam2:.3g}", best=x.copy())
                 x, phi, grad, hess = cand, phi_c, grad_c, hess_c
-                continue
-            alpha = 1.0
-            accepted = False
-            # Armijo with an explicit roundoff allowance: phi is O(t) while
-            # the required decrease can be orders of magnitude smaller.
-            pad = 32.0 * np.finfo(float).eps * abs(phi)
-            for _ in range(60):
-                cand = x + alpha * step
-                phi_c, grad_c, hess_c = _phi_grad_hess(cand, t, normals,
-                                                       offsets, fixed_center)
-                if phi_c <= phi - 0.25 * alpha * lam2 + pad:
-                    x, phi, grad, hess = cand, phi_c, grad_c, hess_c
-                    accepted = True
-                    break
-                alpha *= 0.5
-            if not accepted:
+            else:
+                # Armijo with an explicit roundoff allowance: phi is O(t)
+                # while the required decrease can be orders of magnitude
+                # smaller.
+                pad = 32.0 * np.finfo(float).eps * abs(phi)
+                alpha = 1.0
+                for _ in range(60):
+                    cand = x + alpha * step
+                    phi_c, grad_c, hess_c = _phi_grad_hess(cand, t, normals,
+                                                           offsets, fixed_center)
+                    if phi_c <= phi - 0.25 * alpha * lam2 + pad:
+                        x, phi, grad, hess = cand, phi_c, grad_c, hess_c
+                        break
+                    alpha *= 0.5
+                else:
+                    raise EllipseSolveError(
+                        f"backtracking found no decrease at t = {t:.3g}, "
+                        f"lambda^2 = {lam2:.3g}", best=x.copy())
+            if at_floor:
                 break
+        else:
+            raise EllipseSolveError(
+                f"stage t = {t:.3g} not centered in {max_inner} Newton steps, "
+                f"lambda^2 = {prev:.3g} still contracting", best=x.copy())
         if m / t < gap_tol:
             break
         t *= mu

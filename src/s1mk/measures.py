@@ -7,13 +7,14 @@ on the body's grid together with their totals.  The density zoo:
   surface            h'' + h
   lp_surface         h^(1-p) (h'' + h)
   lp_dual            h^(1-p) (h^2 + h'^2)^((q-2)/2) (h'' + h)
-  dual volume        (1/2) integral rho^q  over directions
+  dual curvature     (1/2) h (h^2 + h'^2)^((q-2)/2) (h'' + h)
 
 The lp_dual density is normalized so that a solution of the central equation
-has total measure equal to integral(f).  The dual-volume first variation uses
-the half-normalized companion density (1/2) h (h^2+h'^2)^((q-2)/2) (h''+h),
-which at q = 2 reduces to half the support times the surface density and makes
-the q = 2 identity with area exact; reports carry that normalization.
+has total measure equal to integral(f).  The dual curvature density is half
+the p = 0 lp_dual density; its total is the q-th dual volume
+(1/2) integral rho^q over directions, and at q = 2 it is half the support
+times the surface density, so the q = 2 identity with area is exact.  The
+dual-volume first variation pairs h_L / h_K with it; reports carry the 1/2.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import SupportFunction, area, minkowski_sum, p_sum, perimeter, radial
+# ``radial`` is unused here but stays a module attribute: the benchmark's
+# tracer hooks s1mk.measures.radial.
+from .body import SupportFunction, area, minkowski_sum, p_sum, perimeter, radial  # noqa: F401
 from .errors import OriginOnBoundaryError, ParameterRangeError, SingularDensityError
 from .grid import PeriodicSamples, integrate, resample
 
@@ -134,13 +137,24 @@ def lp_dual_density(body: SupportFunction, p: float, q: float) -> MeasureDensity
     return MeasureDensity(dens, integrate(dens), kind="lp_dual", p=p, q=q)
 
 
+def _dual_curvature(body: SupportFunction, q: float) -> np.ndarray:
+    """Half-normalized dual curvature density (1/2) h (h^2+h'^2)^((q-2)/2) (h''+h)."""
+    return 0.5 * lp_dual_kernel(body.values, body.derivative.values,
+                                body.curvature.values, 0.0, q)
+
+
 def dual_volume(body: SupportFunction, q: float) -> float:
-    """q-th dual volume (1/2) integral rho(xi)^q over direction angles."""
+    """q-th dual volume (1/2) integral rho(xi)^q over direction angles.
+
+    Computed as the total of the dual curvature measure on the normal-angle
+    grid (Huang, Lutwak, Yang and Zhang, Acta Math. 216, 2016), which needs
+    no radial function; at q = 2 it equals ``area`` bitwise.
+    """
     if q == 0.0:
         raise ParameterRangeError("dual volume index q must be nonzero")
     if float(np.min(body.values)) <= 0.0:
         raise OriginOnBoundaryError("dual volume needs the origin strictly inside")
-    return 0.5 * integrate(PeriodicSamples(radial(body).values**q, body.grid))
+    return integrate(PeriodicSamples(_dual_curvature(body, q), body.grid))
 
 
 def extrapolate_to_zero(steps, values) -> float:
@@ -196,8 +210,8 @@ def check_dual_variational(k: SupportFunction, l: SupportFunction, q: float,
                            steps=DEFAULT_STEPS) -> VariationalReport:
     """First variation of the q-th dual volume along t -> K + tL.
 
-    The right side is q times the pairing of h_L / h_K with the half-normalized
-    dual-volume density; the report records normalization = 0.5.
+    The right side is q times the pairing of h_L / h_K with the dual
+    curvature density; the report records its normalization 0.5.
     """
     slopes = _one_sided_slopes(
         lambda t: dual_volume(minkowski_sum(k, l, t), q) if t else dual_volume(k, q),
@@ -205,10 +219,6 @@ def check_dual_variational(k: SupportFunction, l: SupportFunction, q: float,
     )
     lhs = extrapolate_to_zero(steps, slopes)
     hl = _on_grid(k, l)
-    h = k.values
-    hp = k.derivative.values
-    speed2 = h * h + hp * hp
-    dens = 0.5 * h * speed2 ** (0.5 * (q - 2.0)) * k.curvature.values
-    rhs = q * integrate(PeriodicSamples(hl / h * dens, k.grid))
+    rhs = q * integrate(PeriodicSamples(hl / k.values * _dual_curvature(k, q), k.grid))
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return VariationalReport(lhs, rhs, rel, tuple(steps), slopes, normalization=0.5)

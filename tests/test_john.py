@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import s1mk
 from s1mk import (
     DegenerateCurvatureWarning,
     Ellipse,
+    EllipseSolveError,
     Grid,
     ParameterRangeError,
     PeriodicSamples,
@@ -22,6 +24,8 @@ from s1mk import (
     sandwich_ratio,
 )
 from s1mk.john import ellipse_from_json, ellipse_to_json
+
+JOHN_MODULE = sys.modules["s1mk.john"]  # the name s1mk.john is the function
 
 
 def _ellipse_err(ell, r1, r2, center=(0.0, 0.0)):
@@ -165,6 +169,39 @@ class TestContainment:
             assert pinned.r1 * pinned.r2 <= free.r1 * free.r2 * (1.0 + 1e-9)
             rep = containment_report(body, pinned)
             assert rep["boundary_outside_E"]
+
+
+class TestBarrierStopping:
+    # _phi_grad_hess calls for the fits below, measured under the earlier
+    # rule that ran every stage until lambda^2 <= 1e-8 or max_inner = 80
+    # steps; its stages at t >= 1e12 spent the whole cap at the roundoff floor.
+    FIXED_CAP_EVALUATIONS = 5819
+
+    def test_stops_at_roundoff_floor(self, monkeypatch):
+        calls = 0
+        inner = JOHN_MODULE._phi_grad_hess
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return inner(*args)
+
+        monkeypatch.setattr(JOHN_MODULE, "_phi_grad_hess", counted)
+        g = Grid(256)
+        for seed in range(10):
+            body = s1mk.random_convex_body(np.random.default_rng(seed), g)
+            john(body)
+            john(body, center=centroid(body))
+        assert calls <= self.FIXED_CAP_EVALUATIONS // 2
+
+    def test_uncentered_stage_raises(self):
+        body = s1mk.random_convex_body(np.random.default_rng(0), Grid(256))
+        work = s1mk.boundary_xy(body)
+        normals, offsets = JOHN_MODULE._hull_halfplanes(work)
+        with pytest.raises(EllipseSolveError, match="not centered") as info:
+            JOHN_MODULE._barrier_solve(normals, offsets, work.mean(axis=0),
+                                       max_inner=2)
+        assert info.value.best is not None and info.value.best.shape == (5,)
 
 
 class TestSandwich:
