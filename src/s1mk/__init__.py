@@ -89,7 +89,6 @@ from .solver import (
     SolverConfig,
     jacobian,
     linearized_spectrum,
-    newton_solve,
     report_to_dict,
     residual,
     solve,
@@ -119,7 +118,6 @@ __all__ = [
     "extrapolate_to_zero", "lp_dual_density", "lp_surface_density",
     "surface_density",
     "LinearizedSpectrum", "SolveReport", "SolverConfig", "jacobian",
-    "linearized_spectrum", "newton_solve", "report_to_dict", "residual",
-    "solve",
+    "linearized_spectrum", "report_to_dict", "residual", "solve",
     "__version__",
 ]

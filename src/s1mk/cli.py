@@ -95,7 +95,7 @@ def build_parser() -> _Parser:
                                  "convex geometry checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("solve", help="run the continuation solver")
+    sp = sub.add_parser("solve", help="solve for a body with the given measure density")
     sp.add_argument("--p", type=float, default=None)
     sp.add_argument("--q", type=float, default=None)
     sp.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -108,7 +108,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--f-file", default=None,
                     help="JSON file with sampled data values")
     sp.add_argument("--init", default=None,
-                    help="JSON body file used as the initial iterate")
+                    help="JSON body file to start Newton from (no continuation)")
     _add_common(sp)
     sp.set_defaults(func=cmd_solve)
 

@@ -28,6 +28,7 @@ from .body import (
     from_samples,
 )
 from .errors import (
+    EllipseSolveError,
     InvariantViolationError,
     ParameterRangeError,
     SingularJacobianError,
@@ -42,7 +43,7 @@ from .measures import (
     check_lp_variational,
     lp_dual_density,
 )
-from .solver import SolverConfig, newton_solve, solve
+from .solver import SolverConfig, solve
 
 AGREE_TOL = 1e-6
 MAXPRINCIPLE_SLACK = 1e-6
@@ -234,30 +235,36 @@ def run_sandwich(cfg: ExperimentConfig) -> dict:
     grid = Grid(cfg.n_points)
     seeds = _spawned(cfg.seed, cfg.n_samples)
 
+    def measured(name, kind, body, fit):
+        try:
+            ell, ell_c = fit()
+        except EllipseSolveError:
+            return (name, kind, None, None, None, None)
+        rep = sandwich_ratio(body, cfg.p, cfg.q, c1_floor=cfg.c1_floor, ellipse=ell)
+        factor = containment_report(body, ell_c)["containment_factor"]
+        return (name, kind, rep, ell, ell_c, factor)
+
     def one(task):
         i, seed = task
         body = random_convex_body(np.random.default_rng(seed), grid)
-        ell = john(body)
-        ell_c = john(body, center=centroid(body))
-        rep = sandwich_ratio(body, cfg.p, cfg.q, c1_floor=cfg.c1_floor, ellipse=ell)
-        factor = containment_report(body, ell_c)["containment_factor"]
-        return (f"s{i:03d}", "random-trig", rep, ell, ell_c, factor)
+        return measured(f"s{i:03d}", "random-trig", body,
+                        lambda: (john(body), john(body, center=centroid(body))))
 
     results = _map_samples(one, list(enumerate(seeds)))
-
     for name, body in eccentric_battery():
         aspect = int(name.split("-")[1])
-        ell = _battery_john(aspect, BATTERY_GRID_N, False)
-        ell_c = _battery_john(aspect, BATTERY_GRID_N, True)
-        rep = sandwich_ratio(body, cfg.p, cfg.q, c1_floor=cfg.c1_floor, ellipse=ell)
-        factor = containment_report(body, ell_c)["containment_factor"]
-        results.append((name, "ellipse", rep, ell, ell_c, factor))
+        results.append(measured(name, "ellipse", body,
+                                lambda: (_battery_john(aspect, BATTERY_GRID_N, False),
+                                         _battery_john(aspect, BATTERY_GRID_N, True))))
 
     header = ["id", "body_kind", "r1", "r2", "eccentricity", "total_measure",
               "ratio", "c2", "upper_ok", "lower_ok", "r1_centroid", "r2_centroid",
               "containment_centroid", "converged"]
     rows = []
     for name, kind, rep, ell, ell_c, factor in results:
+        if rep is None:
+            rows.append([name, kind] + [None] * 11 + [False])
+            continue
         rows.append([name, kind, rep.r1, rep.r2, rep.r1 / rep.r2, rep.total,
                      rep.ratio, rep.c2, rep.upper_ok, rep.lower_ok,
                      ell_c.r1, ell_c.r2, factor, True])
@@ -265,7 +272,8 @@ def run_sandwich(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.out_dir)
     csv_path = out / "sandwich.csv"
     write_csv(csv_path, header, rows)
-    ratios = [rep.ratio for _, _, rep, _, _, _ in results]
+    fitted = [r for r in results if r[2] is not None]
+    ratios = [rep.ratio for _, _, rep, _, _, _ in fitted]
     summary = {
         "kind": "sandwich",
         "p": cfg.p,
@@ -273,13 +281,14 @@ def run_sandwich(cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "n_samples": cfg.n_samples,
         "n_rows": len(rows),
+        "n_converged": len(fitted),
         "c2": sandwich_c2(cfg.p, cfg.q),
-        "ratio_min": min(ratios),
-        "ratio_max": max(ratios),
+        "ratio_min": min(ratios, default=None),
+        "ratio_max": max(ratios, default=None),
         "upper_violations": sum(0 if rep.upper_ok else 1
-                                for _, _, rep, _, _, _ in results),
-        "lower_floor_observed": min(ratios),
-        "containment_centroid_max": max(r[5] for r in results),
+                                for _, _, rep, _, _, _ in fitted),
+        "lower_floor_observed": min(ratios, default=None),
+        "containment_centroid_max": max((r[5] for r in fitted), default=None),
         "generated_at": _timestamp(),
     }
     json_path = out / "sandwich_summary.json"
@@ -314,11 +323,16 @@ def run_diameter(cfg: ExperimentConfig) -> dict:
     rows = []
     max_h_all = []
     for name, dev, ok, rep in results:
-        if not ok or rep is None:
+        ell = None
+        if ok:
+            try:
+                ell = john(rep.body)
+            except EllipseSolveError:
+                pass
+        if ell is None:
             rows.append([name, dev, cfg.lam, False, None, None, None, None, None])
             continue
         body = rep.body
-        ell = john(body)
         total = lp_dual_density(body, cfg.p, cfg.q).total
         max_h = float(np.max(body.values))
         max_h_all.append(max_h)
@@ -333,7 +347,7 @@ def run_diameter(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.out_dir)
     csv_path = out / "diameter.csv"
     write_csv(csv_path, header, rows)
-    n_conv = sum(1 for _, _, ok, _ in results if ok)
+    n_conv = sum(1 for row in rows if row[3])
     summary = {
         "kind": "diameter",
         "p": cfg.p,
@@ -380,7 +394,7 @@ def _uniqueness_instance(cfg: ExperimentConfig, eps: float, seed, grid: Grid) ->
     for _ in range(cfg.starts):
         init = random_initial_body(rng, grid)
         try:
-            rep = newton_solve(params, init, scfg)
+            rep = solve(params, init, scfg)
         except (StagnationError, SingularJacobianError):
             failures += 1
             continue

@@ -8,10 +8,14 @@ density minus the data,
 discretized spectrally on the grid of f and evaluated by the density kernel of
 ``measures``.  The exact Frechet derivative is assembled as a dense matrix from
 the differentiation matrices and solved by LU with a LAPACK condition estimate.
-``solve`` ramps the data from the constant 1 to f over a fixed number of
-continuation stages; each stage runs damped Newton with backtracking on the
-Euclidean residual norm, rejecting any step that leaves the cone of
-nonnegative convex support functions.
+Each Newton stage backtracks on the Euclidean residual norm, rejecting any
+step that leaves the cone of nonnegative convex support functions.
+
+``solve`` first runs Newton on f from mean(f)^(1/(q-p)), which solves the
+constant data mean(f).  Only if that fails does it continue along the data
+(1 - t) mean(f) + t f with step-length control: a solved stage doubles the
+step in t, a failed one is retried with half of it (Allgower and Georg,
+Introduction to Numerical Continuation Methods, SIAM 2003).
 """
 
 from __future__ import annotations
@@ -27,18 +31,18 @@ from .grid import Grid, PeriodicSamples, diff, diff_matrix
 from .measures import ProblemParams, _lp_factor, lp_dual_kernel, singular_floor
 
 RCOND_LIMIT = 1e-14
+# Smallest continuation step in t.  The n = 256 robustness matrix (lambda up
+# to 20) never needs below 1/8, and the old fixed ramp stepped 1/10.
+MIN_STEP = 1.0 / 32
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 50
-    continuation_steps: int = 10
     damping_min: float = 1e-4
 
     def __post_init__(self):
-        if self.continuation_steps < 1:
-            raise ValueError("continuation_steps must be >= 1")
         if not (0.0 < self.damping_min <= 1.0):
             raise ValueError("damping_min must lie in (0, 1]")
 
@@ -122,8 +126,8 @@ def _newton_stage(h, hp, curv, f, p, q, cfg: SolverConfig, grid: Grid,
     """Damped Newton on fixed data.
 
     (h, hp, curv) are the iterate with its first derivative and curvature
-    density; returns the final such triple, its residual sup and the number
-    of iterations.
+    density; returns the final such triple and its residual sup.  Each
+    accepted step appends (t_label, iteration, residual sup, damping) to trace.
     """
     gecon = get_lapack_funcs("gecon", (np.empty((2, 2)),))
     r = lp_dual_kernel(h, hp, curv, p, q) - f
@@ -171,7 +175,7 @@ def _newton_stage(h, hp, curv, f, p, q, cfg: SolverConfig, grid: Grid,
         res_sup = float(np.max(np.abs(r)))
         it += 1
         trace.append((t_label, it, res_sup, damping))
-    return h, hp, curv, res_sup, it
+    return h, hp, curv, res_sup
 
 
 def _initial_values(params: ProblemParams, initial, grid: Grid) -> np.ndarray:
@@ -183,44 +187,77 @@ def _initial_values(params: ProblemParams, initial, grid: Grid) -> np.ndarray:
     return np.full(grid.n_points, mean_f ** (1.0 / (params.q - params.p)))
 
 
-def _run(params: ProblemParams, initial, cfg: SolverConfig, stages) -> SolveReport:
-    """Damped Newton on the data (1 - t) + t f for each stage t in turn."""
+def _continuation(params: ProblemParams, initial, cfg: SolverConfig,
+                  step: float) -> SolveReport:
+    """Damped Newton on the data (1 - t) mean(f) + t f, t rising from 0 to 1.
+
+    A solved stage doubles ``step``; a failed one is retried from the last
+    solved t with half of it, until that falls below MIN_STEP.  Only the
+    constant start solves t = 0, so an explicit ``initial`` gets no retry.
+    """
     if params.q == params.p:
         raise ParameterRangeError("q = p is outside the solvable family")
     grid = params.f.grid
+    f = params.f.values
+    mean_f = float(np.mean(f))
     h = _initial_values(params, initial, grid)
     s = PeriodicSamples(h, grid)
-    hp, curv = diff(s, 1).values, diff(s, 2).values + h
+    state = (h, diff(s, 1).values, diff(s, 2).values + h)
     trace: list = []
-    iterations: list = []
-    for t in stages:
-        f_t = (1.0 - t) + t * params.f.values
-        h, hp, curv, res_sup, its = _newton_stage(h, hp, curv, f_t, params.p, params.q,
-                                                  cfg, grid, trace, float(t))
-        iterations.append(its)
+    stage_iterations: list = []
+    t0 = 0.0
+    while t0 < 1.0:
+        t = min(1.0, t0 + step)
+        before = len(trace)
+        err = None
+        try:
+            *reached, res_sup = _newton_stage(*state, (1.0 - t) * mean_f + t * f,
+                                              params.p, params.q, cfg, grid, trace, t)
+        except (StagnationError, SingularJacobianError) as exc:
+            if initial is not None:
+                raise
+            # the traceback would keep the failed stage's Jacobian and LU alive
+            err = exc.with_traceback(None)
+        stage_iterations.append(len(trace) - before)
+        if err is None and (res_sup <= cfg.newton_tol or initial is not None):
+            t0, state = t, reached
+            step *= 2.0
+            continue
+        if err is None:
+            err = StagnationError(
+                f"no convergence in {cfg.max_newton} Newton steps at stage"
+                f" t = {t:.3f}, residual {res_sup:.3e}",
+                trace=trace,
+            )
+        step = 0.5 * (t - t0)
+        if step < MIN_STEP:
+            raise err
+    h, hp, curv = state
     return SolveReport(
         body=SupportFunction(PeriodicSamples(h, grid), validate=False),
         residual_sup=res_sup,
-        iterations=int(sum(iterations)),
+        iterations=len(trace),
         min_h=float(h.min()),
         min_curvature=float(curv.min()),
         converged=res_sup <= cfg.newton_tol,
-        stage_iterations=iterations,
+        stage_iterations=stage_iterations,
         trace=trace,
     )
 
 
-def newton_solve(params: ProblemParams, initial: SupportFunction | None = None,
-                 config: SolverConfig | None = None) -> SolveReport:
-    """Single-stage damped Newton directly on the target data (no continuation)."""
-    return _run(params, initial, config or SolverConfig(), (1.0,))
-
-
 def solve(params: ProblemParams, initial: SupportFunction | None = None,
           config: SolverConfig | None = None) -> SolveReport:
-    """Continuation from constant data 1 to f, damped Newton per stage."""
-    cfg = config or SolverConfig()
-    return _run(params, initial, cfg, np.linspace(0.0, 1.0, cfg.continuation_steps + 1))
+    """Damped Newton on f, with continuation from constant data if that fails.
+
+    Without ``initial``, Newton starts from mean(f)^(1/(q-p)), the solution
+    for the constant data mean(f).  If it raises or ends unconverged, the
+    data are ramped from mean(f) to f in stages whose step is halved on
+    failure; the trace, iterations and stage_iterations keep every attempt.
+    An explicit ``initial`` means direct Newton from that body with no
+    fallback: errors propagate and an unconverged run is returned with
+    ``converged=False``.
+    """
+    return _continuation(params, initial, config or SolverConfig(), 1.0)
 
 
 def report_to_dict(report: SolveReport, include_trace: bool = False) -> dict:

@@ -188,11 +188,13 @@ class TestConfigHandling:
         assert code == 64
 
     def test_unknown_solver_key(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"solver": {"positivity_floor": 1e-8}}))
-        code = main(["solve", "--p", "0.5", "--q", "2", "--f-const", "1",
-                     "--config", str(cfg), "--out", str(tmp_path)])
-        assert code == 64
+        # retired SolverConfig fields are unknown keys now
+        for key, value in (("positivity_floor", 1e-8), ("continuation_steps", 10)):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"solver": {key: value}}))
+            code = main(["solve", "--p", "0.5", "--q", "2", "--f-const", "1",
+                         "--config", str(cfg), "--out", str(tmp_path)])
+            assert code == 64, key
 
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,7 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from s1mk import (
+    EllipseSolveError,
     ExperimentConfig,
     Grid,
     ParameterRangeError,
@@ -15,7 +18,28 @@ from s1mk import (
     run_sandwich,
     run_uniqueness,
 )
+from s1mk import harness
 from s1mk.harness import write_csv
+
+
+def _failing_john(monkeypatch, failing_call):
+    """Make harness.john raise on its failing_call-th call (1-based)."""
+    real = harness.john
+    calls = []
+
+    def flaky(body, **kw):
+        calls.append(kw)
+        if len(calls) == failing_call:
+            raise EllipseSolveError("injected failure", best=None)
+        return real(body, **kw)
+
+    monkeypatch.delenv("S1MK_THREADS", raising=False)
+    monkeypatch.setattr(harness, "john", flaky)
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestGenF:
@@ -132,6 +156,16 @@ class TestRunSandwich:
         b = run_sandwich(self._cfg(tmp_path / "threads"))
         assert open(a["csv"], "rb").read() == open(b["csv"], "rb").read()
 
+    def test_failed_fit_marks_its_row(self, tmp_path, monkeypatch):
+        _failing_john(monkeypatch, 3)  # the free fit of sample s001
+        out = run_sandwich(self._cfg(tmp_path))
+        rows = _rows(out["csv"])
+        assert [row["converged"] for row in rows] == ["true", "false"] + ["true"] * 7
+        assert all(value == "" for key, value in rows[1].items()
+                   if key not in ("id", "body_kind", "converged"))
+        assert out["summary"]["n_rows"] == 9
+        assert out["summary"]["n_converged"] == 8
+
     def test_parameter_validation(self, tmp_path):
         with pytest.raises(ParameterRangeError):
             run_sandwich(self._cfg(tmp_path, p=1.5))
@@ -148,6 +182,18 @@ class TestRunDiameter:
         assert s["n_converged"] == 3
         assert s["baseline_max_h"] == 1.0  # data f == 1 solves exactly
         assert 0.0 < s["empirical_max_h"] < 10.0
+
+    def test_failed_fit_marks_its_row(self, tmp_path, monkeypatch):
+        _failing_john(monkeypatch, 2)
+        cfg = ExperimentConfig(kind="diameter", p=0.5, q=2.0, n_samples=3,
+                               seed=0, n_points=256, out_dir=str(tmp_path))
+        out = run_diameter(cfg)
+        rows = _rows(out["csv"])
+        assert [row["converged"] for row in rows] == ["true", "false", "true"]
+        assert all(rows[1][key] == "" for key in
+                   ("max_h", "diameter", "eccentricity", "total_measure",
+                    "residual_sup"))
+        assert out["summary"]["n_converged"] == 2
 
     def test_parameter_validation(self, tmp_path):
         with pytest.raises(ParameterRangeError):

@@ -16,11 +16,11 @@ from s1mk import (
     jacobian,
     linearized_spectrum,
     lp_dual_density,
-    newton_solve,
     report_to_dict,
     residual,
     rotate,
     solve,
+    solver,
 )
 
 
@@ -187,15 +187,16 @@ class TestSolve:
             target = integrate(params.f)
             assert abs(total - target) / target <= 1e-10
 
-    def test_newton_solve_agrees_with_continuation(self, grid256):
+    def test_direct_agrees_with_continuation(self, grid256):
         params = _params(0.5, 2.0, grid256, seed=7)
         a = solve(params)
-        b = newton_solve(params)
+        b = solver._continuation(params, None, SolverConfig(), 0.5)
         assert a.converged and b.converged
+        assert len(a.stage_iterations) == 1 and len(b.stage_iterations) == 2
         assert np.max(np.abs(a.body.values - b.body.values)) <= 1e-9
 
     def test_quadratic_contraction(self, grid256):
-        rep = newton_solve(_params(0.5, 2.0, grid256))
+        rep = solve(_params(0.5, 2.0, grid256))
         sups = [entry[2] for entry in rep.trace]
         assert len(sups) >= 3
         for a, b in zip(sups, sups[1:]):
@@ -208,26 +209,53 @@ class TestSolve:
         with pytest.raises(ParameterRangeError):
             solve(params)
         with pytest.raises(ParameterRangeError):
-            newton_solve(params)
+            solve(params, initial=disk(grid256))
 
     def test_singular_linearization(self, grid256):
         # at p = 1, q = 2 the linearization v -> v'' + v kills the k = 1 modes
+        # at every stage, so the continuation gives up with the same error
         with pytest.raises(SingularJacobianError):
-            newton_solve(_params(1.0, 2.0, grid256))
+            solve(_params(1.0, 2.0, grid256))
 
     def test_stagnation_carries_trace(self, grid256):
         cfg = SolverConfig(newton_tol=1e-16, max_newton=200)
         with pytest.raises(StagnationError) as exc_info:
-            newton_solve(_params(0.5, 2.0, grid256), config=cfg)
-        assert len(exc_info.value.trace) >= 3
+            solve(_params(0.5, 2.0, grid256), config=cfg)
+        trace = exc_info.value.trace
+        assert len(trace) >= 3
+        # the failed direct attempt comes first, then the bisected stages
+        assert trace[0][0] == 1.0
+        assert min(entry[0] for entry in trace) < 1.0
+
+    def test_failed_direct_attempt_stays_in_trace(self, grid256):
+        # direct Newton stagnates on this data; the continuation converges
+        params = _params(0.5, 2.0, grid256, seed=1, lam=5.0)
+        start = disk(grid256, float(np.mean(params.f.values)) ** (1.0 / 1.5))
+        with pytest.raises(StagnationError) as exc_info:
+            solve(params, initial=start)
+        failed = exc_info.value.trace
+        rep = solve(params)
+        assert rep.converged and rep.residual_sup <= 1e-10
+        assert failed and all(entry[0] == 1.0 for entry in failed)
+        assert rep.trace[:len(failed)] == failed
+        assert rep.stage_iterations[0] == len(failed)
+        assert rep.iterations == len(rep.trace) == sum(rep.stage_iterations)
+        assert rep.trace[len(failed)][0] < 1.0
+
+    def test_explicit_initial_has_no_fallback(self, grid256):
+        # from a start that is not the t = 0 solution an unconverged run is
+        # returned as such, not continued
+        params = _params(0.5, 2.0, grid256, seed=1, lam=5.0)
+        rep = solve(params, initial=disk(grid256, 1.2),
+                    config=SolverConfig(max_newton=2))
+        assert not rep.converged
+        assert rep.stage_iterations == [2] and rep.iterations == 2
 
     def test_initial_grid_mismatch(self, grid256):
         with pytest.raises(ValueError, match="initial body"):
             solve(_params(0.5, 2.0, grid256), initial=disk(Grid(128)))
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(continuation_steps=0)
         with pytest.raises(ValueError):
             SolverConfig(damping_min=0.0)
 
@@ -248,3 +276,43 @@ class TestReport:
         rep = solve(_params(0.5, 2.0, grid256))
         d = report_to_dict(rep, include_trace=True)
         assert isinstance(d["trace"], list)
+
+
+# Continuation-only failures per lambda on the matrix below, measured with the
+# fixed ten-stage ramp from data 1 that solve used before it tried f directly.
+CONTINUATION_ONLY_FAILURES = {2.0: 0, 5.0: 2, 20.0: 6}
+# Bodies on which the direct and the continuation path both converge, to
+# solutions more than 1e-8 apart (relative); (0.5, 2) solutions need not be
+# unique this far from constant data.
+KNOWN_DISAGREEMENTS = 2
+
+
+def test_robustness_matrix(grid256):
+    """Data kind x (p, q) x seed x lambda at n = 256; never shrink or re-seed."""
+    failures = {lam: [] for lam in CONTINUATION_ONLY_FAILURES}
+    disagree = []
+    for lam in CONTINUATION_ONLY_FAILURES:
+        for kind in ("trig", "bump", "piecewise"):
+            for p, q in ((0.5, 2.0), (0.5, 3.0), (0.0, 2.0)):
+                for seed in range(3):
+                    case = (lam, kind, p, q, seed)
+                    params = ProblemParams(p, q, gen_f(kind, lam, seed, grid256), lam=lam)
+                    try:
+                        rep = solve(params)
+                    except (StagnationError, SingularJacobianError):
+                        failures[lam].append(case)
+                        continue
+                    if not rep.converged:
+                        failures[lam].append(case)
+                    elif len(rep.stage_iterations) == 1:
+                        # solved directly: would the fallback reach the same body?
+                        ref = solver._continuation(params, None, SolverConfig(), 0.5)
+                        h, h_ref = rep.body.values, ref.body.values
+                        gap = float(np.max(np.abs(h - h_ref)) / np.max(h_ref))
+                        if gap > 1e-8:
+                            disagree.append((case, gap))
+    print("robustness matrix failures:", failures)
+    print("direct/continuation disagreements:", disagree)
+    for lam, limit in CONTINUATION_ONLY_FAILURES.items():
+        assert len(failures[lam]) <= limit, (lam, failures[lam])
+    assert len(disagree) <= KNOWN_DISAGREEMENTS, disagree
