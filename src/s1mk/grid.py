@@ -169,3 +169,20 @@ def resample(samples: PeriodicSamples, out_grid: Grid) -> PeriodicSamples:
     if out_grid.n_points == samples.n:
         return PeriodicSamples(samples.values.copy(), out_grid)
     return PeriodicSamples(trig_eval(samples, out_grid.theta), out_grid)
+
+
+def restrict(samples: PeriodicSamples, out_grid: Grid) -> PeriodicSamples:
+    """Move samples to a coarser grid by Fourier truncation.
+
+    Modes below the coarse Nyquist frequency m/2 are kept as they are.  The
+    coarse Nyquist mode is a pure cosine, as in ``trig_eval``; it takes the
+    cosine part of the fine mode m/2, whose sine part vanishes on the coarse
+    nodes.  Unlike subsampling, this does not alias higher modes.
+    """
+    n, m = samples.n, out_grid.n_points
+    if m > n:
+        raise ValueError(f"cannot restrict {n} samples to a finer grid of {m}")
+    coef = np.fft.rfft(samples.values)[: m // 2 + 1] * (m / n)
+    if m < n:
+        coef[-1] = 2.0 * coef[-1].real
+    return PeriodicSamples(np.fft.irfft(coef, m), out_grid)

@@ -8,10 +8,12 @@ subject to one second-order constraint per hull edge,
 
 The program is solved by a log-barrier Newton method with backtracking (five
 unknowns: the three entries of B and the center; Boyd and Vandenberghe,
-Convex Optimization, 11.3).  Each stage t is centered until the Newton
-decrement lambda has lambda^2 <= 1e-8 or reaches its roundoff floor, which it
-does from t of about 1e12 on: there a full step from lambda^2 < 1/16 no
-longer cuts lambda^2 by 4x, and the stage ends after that step.  A stage that
+Convex Optimization, 11.3); line-search trials are evaluated by value alone,
+and the gradient and Hessian are built only at accepted points.  Each stage
+t is centered until the Newton decrement lambda has lambda^2 <= 1e-8 or
+reaches its roundoff floor, which it does from t of about 1e12 on: there a
+full step from lambda^2 < 1/16 no longer cuts lambda^2 by 4x, and the stage
+ends after that step.  A stage that
 instead runs out of ``max_inner`` steps, fails its backtracking search, or
 steps out of the domain raises ``EllipseSolveError`` with the last iterate as
 ``best``; no stage is left uncentered silently.
@@ -80,33 +82,52 @@ def _hull_halfplanes(points: np.ndarray):
     return normals, offsets
 
 
-def _phi_grad_hess(x, t, normals, offsets, fixed_center):
-    """Barrier value, gradient and Hessian at x = (b11, b22, b12[, c1, c2])."""
+def _edge_constants(normals, offsets, fixed_center):
+    """Per-fit arrays of the barrier that depend only on the hull edges."""
+    a1, a2 = normals[:, 0], normals[:, 1]
+    u11, u22, u12 = a1 * a1, a2 * a2, a1 * a2
+    return {
+        "a1": a1, "a2": a2,
+        # offsets - <a_i, c> when the center is pinned
+        "room": None if fixed_center is None else offsets - normals @ fixed_center,
+        "grams": {(0, 0): u11, (1, 1): u22, (2, 2): u11 + u22,
+                  (0, 1): np.zeros_like(a1), (0, 2): u12, (1, 2): u12},
+    }
+
+
+def _barrier_value(x, t, normals, offsets, edges):
+    """Barrier value at x = (b11, b22, b12[, c1, c2]) and the parts its
+    derivatives reuse; (inf, None) outside the domain."""
     b11, b22, b12 = x[0], x[1], x[2]
-    if fixed_center is None:
-        c = x[3:5]
-        dim = 5
-    else:
-        c = fixed_center
-        dim = 3
     det = b11 * b22 - b12 * b12
     if det <= 0.0 or b11 <= 0.0:
-        return np.inf, None, None
+        return np.inf, None
 
-    a1, a2 = normals[:, 0], normals[:, 1]
+    a1, a2 = edges["a1"], edges["a2"]
     w1 = b11 * a1 + b12 * a2
     w2 = b12 * a1 + b22 * a2
     s = np.sqrt(w1 * w1 + w2 * w2)
-    slack = offsets - normals @ c - s
+    if edges["room"] is None:
+        slack = offsets - normals @ x[3:5] - s
+    else:
+        slack = edges["room"] - s
     if np.min(slack) <= 0.0 or np.min(s) <= 0.0:
-        return np.inf, None, None
+        return np.inf, None
 
     phi = -t * math.log(det) - float(np.log(slack).sum())
+    return phi, (det, w1, w2, s, slack)
+
+
+def _barrier_grad_hess(x, t, edges, parts):
+    """Gradient and Hessian of the barrier from ``_barrier_value``'s parts."""
+    b11, b22, b12 = x[0], x[1], x[2]
+    det, w1, w2, s, slack = parts
+    a1, a2 = edges["a1"], edges["a2"]
 
     ds1 = w1 * a1 / s
     ds2 = w2 * a2 / s
     ds3 = (w1 * a2 + w2 * a1) / s
-    if fixed_center is None:
+    if edges["room"] is None:
         g_slack = np.column_stack([ds1, ds2, ds3, a1, a2])
     else:
         g_slack = np.column_stack([ds1, ds2, ds3])
@@ -120,12 +141,8 @@ def _phi_grad_hess(x, t, normals, offsets, fixed_center):
     hess = scaled.T @ scaled
 
     # curvature of s(B) in the three B coordinates
-    u11 = a1 * a1
-    u22 = a2 * a2
-    u12 = a1 * a2
     dots = [ds1, ds2, ds3]
-    grams = {(0, 0): u11, (1, 1): u22, (2, 2): u11 + u22,
-             (0, 1): np.zeros_like(a1), (0, 2): u12, (1, 2): u12}
+    grams = edges["grams"]
     for i in range(3):
         for j in range(i, 3):
             gram = grams[(i, j)]
@@ -136,7 +153,7 @@ def _phi_grad_hess(x, t, normals, offsets, fixed_center):
 
     hdet = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -2.0]])
     hess[:3, :3] += t * (np.outer(mdet, mdet) / det**2 - hdet / det)
-    return phi, grad, hess
+    return grad, hess
 
 
 def _barrier_solve(normals, offsets, c_init, fixed_center=None,
@@ -153,10 +170,12 @@ def _barrier_solve(normals, offsets, c_init, fixed_center=None,
         raise EllipseSolveError("initial center not strictly interior")
     x[0] = x[1] = 0.4 * s0
 
+    edges = _edge_constants(normals, offsets, fixed_center)
     t = max(1.0, 0.05 * m)
     mu = 8.0
     while True:
-        phi, grad, hess = _phi_grad_hess(x, t, normals, offsets, fixed_center)
+        phi, parts = _barrier_value(x, t, normals, offsets, edges)
+        grad, hess = _barrier_grad_hess(x, t, edges, parts)
         prev = np.inf
         for _ in range(max_inner):
             try:
@@ -179,13 +198,13 @@ def _barrier_solve(normals, offsets, c_init, fixed_center=None,
                 # quadratically, and phi differences are below roundoff at
                 # large t, so no sufficient-decrease test is meaningful here.
                 cand = x + step
-                phi_c, grad_c, hess_c = _phi_grad_hess(cand, t, normals,
-                                                       offsets, fixed_center)
+                phi_c, parts = _barrier_value(cand, t, normals, offsets, edges)
                 if not np.isfinite(phi_c):
                     raise EllipseSolveError(
                         f"full Newton step left the domain at t = {t:.3g}, "
                         f"lambda^2 = {lam2:.3g}", best=x.copy())
-                x, phi, grad, hess = cand, phi_c, grad_c, hess_c
+                x, phi = cand, phi_c
+                grad, hess = _barrier_grad_hess(x, t, edges, parts)
             else:
                 # Armijo with an explicit roundoff allowance: phi is O(t)
                 # while the required decrease can be orders of magnitude
@@ -194,10 +213,10 @@ def _barrier_solve(normals, offsets, c_init, fixed_center=None,
                 alpha = 1.0
                 for _ in range(60):
                     cand = x + alpha * step
-                    phi_c, grad_c, hess_c = _phi_grad_hess(cand, t, normals,
-                                                           offsets, fixed_center)
+                    phi_c, parts = _barrier_value(cand, t, normals, offsets, edges)
                     if phi_c <= phi - 0.25 * alpha * lam2 + pad:
-                        x, phi, grad, hess = cand, phi_c, grad_c, hess_c
+                        x, phi = cand, phi_c
+                        grad, hess = _barrier_grad_hess(x, t, edges, parts)
                         break
                     alpha *= 0.5
                 else:

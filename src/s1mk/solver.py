@@ -16,6 +16,18 @@ constant data mean(f).  Only if that fails does it continue along the data
 (1 - t) mean(f) + t f with step-length control: a solved stage doubles the
 step in t, a failed one is retried with half of it (Allgower and Georg,
 Introduction to Numerical Continuation Methods, SIAM 2003).
+
+On a grid of n >= 2 COARSE_N points without an explicit start, ``solve``
+first sequences grids (nested iteration; Knoll and Keyes, J. Comput. Phys.
+193, 2004): it halves n while the half is even and at least COARSE_N,
+restricts f to each level by Fourier truncation, solves the coarsest level
+by the policy above, and at each finer level prolongs the body by
+trigonometric interpolation and polishes it with direct Newton to the same
+tolerance, measured on that level's grid.  The smooth solutions need far
+fewer modes than a large grid carries, so the fine levels take 0-2 steps
+instead of dense LUs from a constant start.  If any level raises or ends
+unconverged, the fine grid is solved by the policy above from the constant
+start; the abandoned steps stay in the trace.
 """
 
 from __future__ import annotations
@@ -27,13 +39,16 @@ from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 
 from .body import DEFAULT_TOL_CONVEX_SCALE, SupportFunction
 from .errors import ParameterRangeError, SingularJacobianError, StagnationError
-from .grid import Grid, PeriodicSamples, diff, diff_matrix
+from .grid import Grid, PeriodicSamples, diff, diff_matrix, resample, restrict
 from .measures import ProblemParams, _lp_factor, lp_dual_kernel, singular_floor
 
 RCOND_LIMIT = 1e-14
 # Smallest continuation step in t.  The n = 256 robustness matrix (lambda up
 # to 20) never needs below 1/8, and the old fixed ramp stepped 1/10.
 MIN_STEP = 1.0 / 32
+# Coarsest grid of the sequenced solve.  n = 256 is the grid of every sweep,
+# so those solves are not sequenced.
+COARSE_N = 256
 
 
 @dataclass(frozen=True)
@@ -57,6 +72,12 @@ class SolveReport:
     converged: bool
     stage_iterations: list = field(default_factory=list)
     trace: list = field(default_factory=list)
+    # (n, Newton steps) per grid level, coarse to fine, then the fallback's
+    levels: list = field(default_factory=list)
+    # max_{k > n/4} |h_k| / |h_0|: near roundoff when the grid resolves h
+    tail_ratio: float = float("nan")
+    # max |h - prolonged coarser solution| / max h; None unless sequenced
+    level_gap: float | None = None
 
 
 @dataclass(frozen=True)
@@ -188,12 +209,13 @@ def _initial_values(params: ProblemParams, initial, grid: Grid) -> np.ndarray:
 
 
 def _continuation(params: ProblemParams, initial, cfg: SolverConfig,
-                  step: float) -> SolveReport:
+                  step: float, trace: list | None = None) -> SolveReport:
     """Damped Newton on the data (1 - t) mean(f) + t f, t rising from 0 to 1.
 
     A solved stage doubles ``step``; a failed one is retried from the last
     solved t with half of it, until that falls below MIN_STEP.  Only the
     constant start solves t = 0, so an explicit ``initial`` gets no retry.
+    Steps are appended to ``trace``, which may hold earlier attempts.
     """
     if params.q == params.p:
         raise ParameterRangeError("q = p is outside the solvable family")
@@ -203,7 +225,7 @@ def _continuation(params: ProblemParams, initial, cfg: SolverConfig,
     h = _initial_values(params, initial, grid)
     s = PeriodicSamples(h, grid)
     state = (h, diff(s, 1).values, diff(s, 2).values + h)
-    trace: list = []
+    trace = [] if trace is None else trace
     stage_iterations: list = []
     t0 = 0.0
     while t0 < 1.0:
@@ -245,6 +267,52 @@ def _continuation(params: ProblemParams, initial, cfg: SolverConfig,
     )
 
 
+def _level_grids(grid: Grid) -> list:
+    """Grids of the sequenced solve, coarse to fine; just ``grid`` if none."""
+    grids = [grid]
+    while grids[0].n_points >= 2 * COARSE_N and grids[0].n_points % 4 == 0:
+        grids.insert(0, Grid(grids[0].n_points // 2))
+    return grids
+
+
+def _sequenced(params: ProblemParams, grids: list, cfg: SolverConfig,
+               trace: list, stage_iterations: list, levels: list):
+    """Coarse solve, then a direct Newton polish per finer grid.
+
+    Returns the fine-grid report, or None once a level raises or ends
+    unconverged; the steps taken stay in ``trace``, ``stage_iterations`` and
+    ``levels`` either way.
+    """
+    rep = start = None
+    for grid in grids:
+        level = params
+        if grid is not params.f.grid:
+            f = restrict(params.f, grid)
+            if float(f.values.min()) <= 0.0:
+                return None
+            level = ProblemParams(params.p, params.q, f)
+        if rep is not None:
+            start = SupportFunction(resample(rep.body.h, grid), validate=False)
+        before = len(trace)
+        try:
+            rep = _continuation(level, start, cfg, 1.0, trace)
+        except (StagnationError, SingularJacobianError):
+            rep = None
+        levels.append((grid.n_points, len(trace) - before))
+        stage_iterations.extend([len(trace) - before] if rep is None
+                                else rep.stage_iterations)
+        if rep is None or not rep.converged:
+            return None
+    h = rep.body.values
+    rep.level_gap = float(np.max(np.abs(h - start.values)) / np.max(h))
+    return rep
+
+
+def _tail_ratio(h: np.ndarray) -> float:
+    coef = np.abs(np.fft.rfft(h))
+    return float(coef[h.shape[0] // 4 + 1:].max() / coef[0])
+
+
 def solve(params: ProblemParams, initial: SupportFunction | None = None,
           config: SolverConfig | None = None) -> SolveReport:
     """Damped Newton on f, with continuation from constant data if that fails.
@@ -253,11 +321,36 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
     for the constant data mean(f).  If it raises or ends unconverged, the
     data are ramped from mean(f) to f in stages whose step is halved on
     failure; the trace, iterations and stage_iterations keep every attempt.
-    An explicit ``initial`` means direct Newton from that body with no
-    fallback: errors propagate and an unconverged run is returned with
+    On a grid of at least 2 COARSE_N points this policy first solves the
+    coarsest level of a grid sequence, which the finer levels polish; only
+    if a level fails does it run on the full grid.  An explicit ``initial``
+    means direct Newton from that body on the full grid with no fallback:
+    errors propagate and an unconverged run is returned with
     ``converged=False``.
+
+    The report's ``levels`` lists (n, Newton steps) per grid level run,
+    ``tail_ratio`` is max_{k > n/4} |h_k| / |h_0| of the answer's Fourier
+    coefficients, a resolution test as in Chebfun's chopping rule, and
+    ``level_gap`` is max |h - prolonged coarser level| / max h when the
+    answer came from the sequence.
     """
-    return _continuation(params, initial, config or SolverConfig(), 1.0)
+    cfg = config or SolverConfig()
+    trace: list = []
+    stage_iterations: list = []
+    levels: list = []
+    grids = _level_grids(params.f.grid)
+    rep = None
+    if initial is None and len(grids) > 1:
+        rep = _sequenced(params, grids, cfg, trace, stage_iterations, levels)
+    if rep is None:
+        before = len(trace)
+        rep = _continuation(params, initial, cfg, 1.0, trace)
+        stage_iterations.extend(rep.stage_iterations)
+        levels.append((params.f.grid.n_points, len(trace) - before))
+    rep.stage_iterations = stage_iterations
+    rep.levels = levels
+    rep.tail_ratio = _tail_ratio(rep.body.values)
+    return rep
 
 
 def report_to_dict(report: SolveReport, include_trace: bool = False) -> dict:
@@ -269,6 +362,9 @@ def report_to_dict(report: SolveReport, include_trace: bool = False) -> dict:
         "min_h": report.min_h,
         "min_curvature": report.min_curvature,
         "n_points": report.body.grid.n_points,
+        "levels": [list(level) for level in report.levels],
+        "tail_ratio": report.tail_ratio,
+        "level_gap": report.level_gap,
         "h": report.body.values.tolist(),
     }
     if include_trace:

@@ -21,9 +21,9 @@ def _load_spans():
     return module
 
 
-def _small_solve():
-    grid = Grid(64)
-    return s1mk.solver.solve(ProblemParams(0.5, 3.0, gen_f("trig", 2.0, 1, grid), lam=2.0))
+def _small_solve(n=64, kind="trig"):
+    grid = Grid(n)
+    return s1mk.solver.solve(ProblemParams(0.5, 3.0, gen_f(kind, 2.0, 1, grid), lam=2.0))
 
 
 def test_every_target_resolves():
@@ -57,3 +57,20 @@ def test_traced_solve_counts_layers():
     assert metrics["solver.lu_calls"][0] == 2 * len(rep.trace)
     assert metrics["grid.diff_calls"][0] > 0
     assert s1mk.solver.solve is original
+
+
+def test_sequenced_solve_is_one_span():
+    # at n = 512 solve runs two grid levels; the tracer must still see one
+    # solve whose trace holds the Newton steps of both
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        rep = _small_solve(512, "bump")
+    finally:
+        tracer.uninstall()
+    assert [n for n, _ in rep.levels] == [256, 512] and rep.levels[1][1] >= 1
+    metrics = spans.layer_metrics(tracer)
+    assert sum(1 for span in tracer.spans if span[0] == "solver.solve") == 1
+    assert metrics["solver.newton_iters"][0] == len(rep.trace)
+    assert metrics["solver.lu_calls"][0] == 2 * len(rep.trace)

@@ -41,6 +41,15 @@ class TestSolveCommand:
         assert rep["converged"] is True
         assert isinstance(rep["trace"], list)
 
+    def test_report_carries_grid_levels(self, tmp_path):
+        code = main(["solve", "--p", "0.5", "--q", "3", "--f-kind", "bump",
+                     "--seed", "1", "--grid", "512", "--out", str(tmp_path)])
+        assert code == 0
+        rep = json.loads((tmp_path / "solve_report.json").read_text())
+        assert [n for n, _ in rep["levels"]] == [256, 512]
+        assert sum(steps for _, steps in rep["levels"]) == rep["iterations"]
+        assert 0.0 < rep["tail_ratio"] < 1.0 and 0.0 < rep["level_gap"] < 1e-6
+
     def test_equal_exponents_rejected(self, tmp_path):
         code = main(["solve", "--p", "2", "--q", "2", "--f-const", "1",
                      "--out", str(tmp_path)])

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import i0
 
 from s1mk import Grid, PeriodicSamples, diff, diff_matrix, integrate, resample, trig_eval
+from s1mk.grid import restrict
 
 
 def trig_poly(grid, coeffs):
@@ -135,3 +136,40 @@ class TestInterpolation:
         assert np.max(np.abs(up.values - (np.cos(5 * fine.theta) + 0.3))) < 1e-12
         back = resample(up, g)
         assert np.max(np.abs(back.values - s.values)) < 1e-12
+
+
+class TestRestrict:
+    def test_exact_below_coarse_nyquist(self, rng):
+        # degree 127 < 256 / 2: truncation to n0 = 256 loses nothing, so the
+        # coarse samples are the polynomial's own, and the mean stays put
+        coeffs = [(rng.normal(), rng.normal()) for _ in range(127)]
+        for n in (512, 1024):
+            fine = trig_poly(Grid(n), coeffs)
+            vals = fine.values + 3.0
+            coarse = restrict(PeriodicSamples(vals, Grid(n)), Grid(256))
+            exact = trig_poly(Grid(256), coeffs).values + 3.0
+            assert np.max(np.abs(coarse.values - exact)) < 1e-11
+            # the same number in exact arithmetic; 2 ulp apart at most
+            assert abs(np.mean(coarse.values) - np.mean(vals)) <= 4e-16 * 3.0
+
+    def test_coarse_nyquist_is_a_cosine(self):
+        # cos(128 t) survives as trig_eval's Nyquist cosine, sin(128 t)
+        # vanishes on the coarse nodes, and higher modes are dropped, not
+        # aliased as subsampling would
+        g, c = Grid(1024), Grid(256)
+        t = g.theta
+        s = PeriodicSamples(np.cos(128 * t) + np.sin(128 * t) + np.cos(200 * t), g)
+        coarse = restrict(s, c)
+        assert np.max(np.abs(coarse.values - np.cos(128 * c.theta))) < 1e-12
+        up = trig_eval(coarse, t[:5])
+        assert np.max(np.abs(up - np.cos(128 * t[:5]))) < 1e-12
+
+    def test_inverts_prolongation(self, rng):
+        c = Grid(256)
+        s = trig_poly(c, [(rng.normal(), rng.normal()) for _ in range(127)])
+        back = restrict(resample(s, Grid(512)), c)
+        assert np.max(np.abs(back.values - s.values)) < 1e-12
+
+    def test_rejects_finer_grid(self):
+        with pytest.raises(ValueError, match="finer"):
+            restrict(PeriodicSamples(np.ones(64), Grid(64)), Grid(128))

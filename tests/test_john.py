@@ -172,27 +172,33 @@ class TestContainment:
 
 
 class TestBarrierStopping:
-    # _phi_grad_hess calls for the fits below, measured under the earlier
+    # Barrier evaluations for the fits below, measured under the earlier
     # rule that ran every stage until lambda^2 <= 1e-8 or max_inner = 80
     # steps; its stages at t >= 1e12 spent the whole cap at the roundoff floor.
     FIXED_CAP_EVALUATIONS = 5819
 
     def test_stops_at_roundoff_floor(self, monkeypatch):
-        calls = 0
-        inner = JOHN_MODULE._phi_grad_hess
+        # every evaluated point, a rejected trial or one whose gradient and
+        # Hessian are built next, passes through _barrier_value once
+        calls = {"value": 0, "grad_hess": 0}
 
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return inner(*args)
+        def counted(name):
+            inner = getattr(JOHN_MODULE, name)
 
-        monkeypatch.setattr(JOHN_MODULE, "_phi_grad_hess", counted)
+            def wrapper(*args):
+                calls[name.removeprefix("_barrier_")] += 1
+                return inner(*args)
+            monkeypatch.setattr(JOHN_MODULE, name, wrapper)
+
+        counted("_barrier_value")
+        counted("_barrier_grad_hess")
         g = Grid(256)
         for seed in range(10):
             body = s1mk.random_convex_body(np.random.default_rng(seed), g)
             john(body)
             john(body, center=centroid(body))
-        assert calls <= self.FIXED_CAP_EVALUATIONS // 2
+        assert 0 < calls["grad_hess"] <= calls["value"]
+        assert calls["value"] <= self.FIXED_CAP_EVALUATIONS // 2
 
     def test_uncentered_stage_raises(self):
         body = s1mk.random_convex_body(np.random.default_rng(0), Grid(256))

@@ -22,10 +22,11 @@ from s1mk import (
     solve,
     solver,
 )
+from s1mk.grid import restrict
 
 
-def _params(p, q, grid, seed=0, lam=2.0):
-    return ProblemParams(p, q, gen_f("trig", lam, seed, grid), lam=lam)
+def _params(p, q, grid, seed=0, lam=2.0, kind="trig"):
+    return ProblemParams(p, q, gen_f(kind, lam, seed, grid), lam=lam)
 
 
 class TestResidual:
@@ -266,16 +267,127 @@ class TestReport:
         d = report_to_dict(rep)
         for key in ("converged", "residual_sup", "iterations",
                     "stage_iterations", "min_h", "min_curvature",
-                    "n_points", "h"):
+                    "n_points", "levels", "tail_ratio", "level_gap", "h"):
             assert key in d
         assert "trace" not in d
         assert d["iterations"] == sum(d["stage_iterations"])
+        assert d["levels"] == [[256, d["iterations"]]] and d["level_gap"] is None
         assert len(d["h"]) == 256
 
     def test_trace_toggle(self, grid256):
         rep = solve(_params(0.5, 2.0, grid256))
         d = report_to_dict(rep, include_trace=True)
         assert isinstance(d["trace"], list)
+
+
+# The bench's solve-large cases (n, kind, p, q), all sequenced.
+SOLVE_LARGE_CASES = ((512, "trig", 0.5, 3.0), (512, "bump", 3.0, 2.0),
+                     (512, "piecewise", 0.5, 2.0), (768, "trig", 0.5, 3.0),
+                     (1024, "bump", 0.5, 3.0))
+
+
+def _same_report(a, b):
+    assert np.array_equal(a.body.values, b.body.values)
+    assert a.trace == b.trace and a.stage_iterations == b.stage_iterations
+    assert (a.residual_sup, a.iterations, a.converged) == \
+        (b.residual_sup, b.iterations, b.converged)
+
+
+class TestSequencing:
+    def test_levels(self):
+        sizes = {n: [g.n_points for g in solver._level_grids(Grid(n))]
+                 for n in (256, 500, 512, 768, 1024, 1028, 1030)}
+        assert sizes == {256: [256], 500: [500], 512: [256, 512], 768: [384, 768],
+                         1024: [256, 512, 1024], 1028: [514, 1028], 1030: [1030]}
+
+    def test_matches_fine_path(self):
+        cfg = SolverConfig()
+        for seed in range(3):
+            for i, (n, kind, p, q) in enumerate(SOLVE_LARGE_CASES):
+                f = gen_f(kind, 2.0, np.random.SeedSequence([seed, 0, i]), Grid(n))
+                params = ProblemParams(p, q, f, lam=2.0)
+                rep = solve(params, config=cfg)
+                assert rep.converged and len(rep.levels) > 1, (seed, n, kind)
+                assert rep.iterations == len(rep.trace) == sum(s for _, s in rep.levels)
+                sup = float(np.max(np.abs(residual(rep.body, params).values)))
+                assert sup == rep.residual_sup <= cfg.newton_tol
+                ref = solver._continuation(params, None, cfg, 1.0)
+                h = rep.body.values
+                gap = np.max(np.abs(h - ref.body.values))
+                assert gap <= 1e-11 * np.max(ref.body.values), (seed, n, kind, gap)
+
+    def test_small_grid_and_explicit_initial_unchanged(self, grid256):
+        cfg = SolverConfig()
+        params = _params(0.5, 3.0, grid256, seed=4)
+        rep = solve(params)
+        _same_report(rep, solver._continuation(params, None, cfg, 1.0))
+        assert rep.levels == [(256, rep.iterations)] and rep.level_gap is None
+        g = Grid(512)
+        params = _params(0.5, 3.0, g, seed=4)
+        start = disk(g, 1.1)
+        rep = solve(params, initial=start)
+        _same_report(rep, solver._continuation(params, start, cfg, 1.0))
+        assert rep.levels == [(512, rep.iterations)] and rep.level_gap is None
+
+    @pytest.mark.parametrize("how", ["raises", "unconverged"])
+    def test_failed_level_falls_back(self, monkeypatch, how):
+        params = _params(0.5, 3.0, Grid(512), seed=2)
+        real = solver._continuation
+
+        def failing_polish(level, initial, cfg, step, trace=None):
+            if initial is None or level.f.grid.n_points < 512:
+                return real(level, initial, cfg, step, trace)
+            # one polish step, then the fine level gives up
+            rep = real(level, initial, SolverConfig(newton_tol=1e-17, max_newton=1),
+                       step, trace)
+            if how == "raises":
+                raise StagnationError("forced", trace=trace)
+            return rep
+
+        monkeypatch.setattr(solver, "_continuation", failing_polish)
+        rep = solve(params)
+        monkeypatch.undo()
+        coarse = solve(ProblemParams(0.5, 3.0, restrict(params.f, Grid(256))))
+        fine = solver._continuation(params, None, SolverConfig(), 1.0)
+        abandoned = coarse.iterations + 1
+        assert rep.converged and rep.level_gap is None
+        assert rep.levels == [(256, coarse.iterations), (512, 1), (512, fine.iterations)]
+        assert rep.trace[:coarse.iterations] == coarse.trace
+        assert rep.trace[abandoned:] == fine.trace
+        assert rep.iterations == len(rep.trace) == sum(rep.stage_iterations)
+        assert np.array_equal(rep.body.values, fine.body.values)
+
+    def test_nonpositive_restricted_data_skip_the_sequence(self):
+        # a tall one-sample spike rings below zero once truncated to n = 256
+        g = Grid(512)
+        vals = np.full(512, 1e-3)
+        vals[100] = 10.0
+        params = ProblemParams(0.5, 3.0, PeriodicSamples(vals, g))
+        assert restrict(params.f, Grid(256)).values.min() < 0.0
+        trace, stage_iterations, levels = [], [], []
+        rep = solver._sequenced(params, solver._level_grids(g), SolverConfig(),
+                                trace, stage_iterations, levels)
+        assert rep is None and trace == stage_iterations == levels == []
+
+
+class TestResolution:
+    # On these cases a tail ratio of 6.4e-10 or less came with a gap of at
+    # most 2e-13 between the n = 256 and n = 512 solutions, and 1e-7 or more
+    # with gaps of 8e-9 to 4e-8.
+    UNDER_RESOLVED_TAIL = 1e-8
+
+    def test_bump_q3_is_under_resolved_at_256(self, grid256):
+        bump = solve(_params(0.5, 3.0, grid256, seed=1, kind="bump"))
+        assert bump.tail_ratio > self.UNDER_RESOLVED_TAIL
+        for seed in range(3):
+            trig = solve(_params(0.5, 2.0, grid256, seed=seed))
+            assert trig.tail_ratio < 1e-6 * self.UNDER_RESOLVED_TAIL
+        # one level finer, the polish step moves the bump body by about
+        # 1e-8 and leaves the trig body where it was
+        bump = solve(_params(0.5, 3.0, Grid(512), seed=1, kind="bump"))
+        trig = solve(_params(0.5, 2.0, Grid(512), seed=1))
+        assert bump.level_gap > 1e-9 and trig.level_gap < 1e-12
+        assert bump.levels[-1][1] >= 1 and trig.levels[-1][1] == 0
 
 
 # Continuation-only failures per lambda on the matrix below, measured with the
@@ -316,3 +428,42 @@ def test_robustness_matrix(grid256):
     for lam, limit in CONTINUATION_ONLY_FAILURES.items():
         assert len(failures[lam]) <= limit, (lam, failures[lam])
     assert len(disagree) <= KNOWN_DISAGREEMENTS, disagree
+
+
+# Pairs of converged bodies from the sequenced and the fine-grid path more
+# than 1e-11 max h apart on the slice below; the largest gap measured is
+# 2.4e-12 (bump, (0.5, 3)).
+SEQUENCED_DISAGREEMENTS = 0
+
+
+def test_robustness_matrix_n512():
+    """The lambda = 2 slice of the matrix at n = 512, where solve is
+    sequenced; never shrink or re-seed."""
+    failures, disagree = [], []
+    cfg = SolverConfig()
+    grid = Grid(512)
+    for kind in ("trig", "bump", "piecewise"):
+        for p, q in ((0.5, 2.0), (0.5, 3.0), (0.0, 2.0)):
+            for seed in range(3):
+                case = (kind, p, q, seed)
+                params = _params(p, q, grid, seed, kind=kind)
+                try:
+                    rep = solve(params)
+                except (StagnationError, SingularJacobianError):
+                    failures.append(case)
+                    continue
+                if not rep.converged:
+                    failures.append(case)
+                    continue
+                try:
+                    ref = solver._continuation(params, None, cfg, 1.0)
+                except (StagnationError, SingularJacobianError):
+                    continue
+                h, h_ref = rep.body.values, ref.body.values
+                gap = float(np.max(np.abs(h - h_ref)) / np.max(h_ref))
+                if gap > 1e-11:
+                    disagree.append((case, gap))
+    print("n = 512 failures:", failures)
+    print("sequenced/fine disagreements:", disagree)
+    assert not failures, failures
+    assert len(disagree) <= SEQUENCED_DISAGREEMENTS, disagree
