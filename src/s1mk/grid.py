@@ -61,48 +61,24 @@ class PeriodicSamples:
         return self.grid.theta
 
 
-def _spectral_derivative(values: np.ndarray, order: int) -> np.ndarray:
-    n = values.shape[0]
-    coef = np.fft.rfft(values)
+def _multiplier(n: int, order: int) -> np.ndarray:
+    """Fourier multiplier of d^order/dtheta^order on the rfft modes of n samples."""
+    if order not in (1, 2):
+        raise ValueError(f"derivative order must be 1 or 2, got {order}")
     k = np.arange(n // 2 + 1)
     if order == 1:
         mult = 1j * k.astype(float)
         # The Nyquist mode has no odd-order derivative representation on an
         # even grid; its consistent collocation value is zero.
         mult[-1] = 0.0
-    else:
-        mult = -(k.astype(float) ** 2)
-    return np.fft.irfft(mult * coef, n)
+        return mult
+    return -(k.astype(float) ** 2)
 
 
-def _fd_derivative(values: np.ndarray, order: int, spacing: float) -> np.ndarray:
-    left = np.roll(values, 1)
-    right = np.roll(values, -1)
-    if order == 1:
-        return (right - left) / (2.0 * spacing)
-    return (right - 2.0 * values + left) / spacing**2
-
-
-def diff(samples: PeriodicSamples, order: int, method: str = "spectral") -> PeriodicSamples:
-    """Differentiate periodic samples.
-
-    Parameters
-    ----------
-    samples : PeriodicSamples
-    order : int
-        1 or 2.
-    method : str
-        "spectral" (default) for Fourier collocation, "fd" for second-order
-        central differences (robustness studies only).
-    """
-    if order not in (1, 2):
-        raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    if method == "spectral":
-        out = _spectral_derivative(samples.values, order)
-    elif method == "fd":
-        out = _fd_derivative(samples.values, order, samples.grid.spacing)
-    else:
-        raise ValueError(f"unknown differentiation method {method!r}")
+def diff(samples: PeriodicSamples, order: int) -> PeriodicSamples:
+    """Differentiate periodic samples (order 1 or 2) by Fourier collocation."""
+    n = samples.n
+    out = np.fft.irfft(_multiplier(n, order) * np.fft.rfft(samples.values), n)
     return PeriodicSamples(out, samples.grid)
 
 
@@ -112,38 +88,16 @@ def integrate(samples: PeriodicSamples) -> float:
 
 
 @lru_cache(maxsize=32)
-def _diff_matrix_cached(n: int, order: int, method: str) -> np.ndarray:
-    if method == "spectral":
-        coef = np.fft.rfft(np.eye(n), axis=0)
-        k = np.arange(n // 2 + 1)
-        if order == 1:
-            mult = 1j * k.astype(float)
-            mult[-1] = 0.0
-        else:
-            mult = -(k.astype(float) ** 2)
-        mat = np.fft.irfft(mult[:, None] * coef, n, axis=0)
-    else:
-        spacing = TWO_PI / n
-        mat = np.zeros((n, n))
-        idx = np.arange(n)
-        if order == 1:
-            mat[idx, (idx + 1) % n] = 1.0 / (2.0 * spacing)
-            mat[idx, (idx - 1) % n] = -1.0 / (2.0 * spacing)
-        else:
-            mat[idx, (idx + 1) % n] = 1.0 / spacing**2
-            mat[idx, (idx - 1) % n] = 1.0 / spacing**2
-            mat[idx, idx] = -2.0 / spacing**2
+def _diff_matrix_cached(n: int, order: int) -> np.ndarray:
+    mult = _multiplier(n, order)
+    mat = np.fft.irfft(mult[:, None] * np.fft.rfft(np.eye(n), axis=0), n, axis=0)
     mat.setflags(write=False)
     return mat
 
 
-def diff_matrix(grid: Grid, order: int, method: str = "spectral") -> np.ndarray:
+def diff_matrix(grid: Grid, order: int) -> np.ndarray:
     """Dense differentiation matrix D with (D @ v) == diff(v, order)."""
-    if order not in (1, 2):
-        raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    if method not in ("spectral", "fd"):
-        raise ValueError(f"unknown differentiation method {method!r}")
-    return _diff_matrix_cached(grid.n_points, order, method)
+    return _diff_matrix_cached(grid.n_points, order)
 
 
 def trig_eval(samples: PeriodicSamples, theta: np.ndarray) -> np.ndarray:

@@ -1,17 +1,15 @@
 """Seeded experiment sweeps over the solver and the geometric estimates.
 
 Every sweep draws one RNG stream per sample by spawning the master seed, so
-results are reproducible bit for bit regardless of worker count, and rows are
-written in sample order.  CSV data files carry no timestamps (summaries do),
-which keeps repeated runs byte-identical.
+results are reproducible bit for bit, and rows are written in sample order.
+CSV data files carry no timestamps (summaries do), which keeps repeated runs
+byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -193,23 +191,6 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("S1MK_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def _map_samples(fn, tasks):
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
-
-
 def _spawned(seed: int, count: int):
     return np.random.SeedSequence(seed).spawn(count)
 
@@ -244,13 +225,12 @@ def run_sandwich(cfg: ExperimentConfig) -> dict:
         factor = containment_report(body, ell_c)["containment_factor"]
         return (name, kind, rep, ell, ell_c, factor)
 
-    def one(task):
-        i, seed = task
+    def one(i, seed):
         body = random_convex_body(np.random.default_rng(seed), grid)
         return measured(f"s{i:03d}", "random-trig", body,
                         lambda: (john(body), john(body, center=centroid(body))))
 
-    results = _map_samples(one, list(enumerate(seeds)))
+    results = [one(i, seed) for i, seed in enumerate(seeds)]
     for name, body in eccentric_battery():
         aspect = int(name.split("-")[1])
         results.append(measured(name, "ellipse", body,
@@ -305,8 +285,7 @@ def run_diameter(cfg: ExperimentConfig) -> dict:
     grid = Grid(cfg.n_points)
     seeds = _spawned(cfg.seed, cfg.n_samples)
 
-    def one(task):
-        i, seed = task
+    def one(i, seed):
         f = gen_f(cfg.f_kind, cfg.lam, seed, grid)
         params = ProblemParams(cfg.p, cfg.q, f, lam=cfg.lam)
         dev = float(np.max(np.abs(f.values - 1.0)))
@@ -316,7 +295,7 @@ def run_diameter(cfg: ExperimentConfig) -> dict:
             return (f"s{i:03d}", dev, False, None)
         return (f"s{i:03d}", dev, rep.converged, rep)
 
-    results = _map_samples(one, list(enumerate(seeds)))
+    results = [one(i, seed) for i, seed in enumerate(seeds)]
 
     header = ["id", "f_dev_inf", "lam", "converged", "max_h", "diameter",
               "eccentricity", "total_measure", "residual_sup"]
@@ -431,8 +410,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> dict:
     eps_values = tuple(cfg.eps_sweep) or (cfg.eps,)
     per_eps = []
     for eps in eps_values:
-        inst = _map_samples(lambda seed: _uniqueness_instance(cfg, eps, seed, grid),
-                            list(seeds))
+        inst = [_uniqueness_instance(cfg, eps, seed, grid) for seed in seeds]
         per_eps.append({
             "eps": eps,
             "instances": inst,

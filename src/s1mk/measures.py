@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .body import SupportFunction, _common_grid, area, minkowski_sum, p_sum, perimeter
 # ``radial`` is unused here but stays a module attribute: the benchmark's
 # tracer hooks s1mk.measures.radial.
-from .body import SupportFunction, area, minkowski_sum, p_sum, perimeter, radial  # noqa: F401
+from .body import radial  # noqa: F401
 from .errors import OriginOnBoundaryError, ParameterRangeError, SingularDensityError
-from .grid import PeriodicSamples, integrate, resample
+from .grid import PeriodicSamples, integrate
 
 DEFAULT_STEPS = (1e-2, 5e-3, 2.5e-3)
 _SINGULAR_TOL = 1e-12
@@ -173,19 +174,13 @@ def _one_sided_slopes(fun, steps):
     return tuple((fun(s) - base) / s for s in steps)
 
 
-def _on_grid(k: SupportFunction, l: SupportFunction) -> np.ndarray:
-    if l.grid.n_points == k.grid.n_points:
-        return l.values
-    return resample(l.h, k.grid).values
-
-
 def check_aleksandrov(k: SupportFunction, l: SupportFunction,
                       steps=DEFAULT_STEPS) -> VariationalReport:
     """First variation of area along t -> K + tL against integral h_L dS_K."""
     slopes = _one_sided_slopes(lambda t: area(minkowski_sum(k, l, t)) if t else area(k),
                                steps)
     lhs = extrapolate_to_zero(steps, slopes)
-    hl = _on_grid(k, l)
+    hl = _common_grid(k, l).values
     rhs = integrate(PeriodicSamples(hl * k.curvature.values, k.grid))
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return VariationalReport(lhs, rhs, rel, tuple(steps), slopes)
@@ -199,7 +194,7 @@ def check_lp_variational(k: SupportFunction, l: SupportFunction, p: float,
     slopes = _one_sided_slopes(lambda t: area(p_sum(k, l, t, p)) if t else area(k),
                                steps)
     lhs = extrapolate_to_zero(steps, slopes)
-    hl = _on_grid(k, l)
+    hl = _common_grid(k, l).values
     integrand = hl**p * _lp_factor(k.values, p)[0] * k.curvature.values
     rhs = integrate(PeriodicSamples(integrand, k.grid)) / p
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
@@ -218,7 +213,7 @@ def check_dual_variational(k: SupportFunction, l: SupportFunction, q: float,
         steps,
     )
     lhs = extrapolate_to_zero(steps, slopes)
-    hl = _on_grid(k, l)
+    hl = _common_grid(k, l).values
     rhs = q * integrate(PeriodicSamples(hl / k.values * _dual_curvature(k, q), k.grid))
     rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
     return VariationalReport(lhs, rhs, rel, tuple(steps), slopes, normalization=0.5)

@@ -32,10 +32,11 @@ start; the abandoned steps stay in the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .body import DEFAULT_TOL_CONVEX_SCALE, SupportFunction
 from .errors import ParameterRangeError, SingularJacobianError, StagnationError
@@ -49,17 +50,14 @@ MIN_STEP = 1.0 / 32
 # Coarsest grid of the sequenced solve.  n = 256 is the grid of every sweep,
 # so those solves are not sequenced.
 COARSE_N = 256
+# Smallest line-search damping before a Newton stage gives up.
+DAMPING_MIN = 1e-4
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     newton_tol: float = 1e-10
     max_newton: int = 50
-    damping_min: float = 1e-4
-
-    def __post_init__(self):
-        if not (0.0 < self.damping_min <= 1.0):
-            raise ValueError("damping_min must lie in (0, 1]")
 
 
 @dataclass
@@ -70,14 +68,14 @@ class SolveReport:
     min_h: float
     min_curvature: float
     converged: bool
-    stage_iterations: list = field(default_factory=list)
-    trace: list = field(default_factory=list)
+    stage_iterations: list
+    trace: list
     # (n, Newton steps) per grid level, coarse to fine, then the fallback's
-    levels: list = field(default_factory=list)
+    levels: list
     # max_{k > n/4} |h_k| / |h_0|: near roundoff when the grid resolves h
-    tail_ratio: float = float("nan")
+    tail_ratio: float
     # max |h - prolonged coarser solution| / max h; None unless sequenced
-    level_gap: float | None = None
+    level_gap: float | None
 
 
 @dataclass(frozen=True)
@@ -158,7 +156,10 @@ def _newton_stage(h, hp, curv, f, p, q, cfg: SolverConfig, grid: Grid,
     while res_sup > cfg.newton_tol and it < cfg.max_newton:
         jac = _jacobian_matrix(h, hp, curv, p, q, grid)
         anorm = float(np.linalg.norm(jac, 1))
-        lu, piv = lu_factor(jac)
+        with warnings.catch_warnings():
+            # an exactly zero pivot fails the condition check below
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu, piv = lu_factor(jac)
         rcond, info = gecon(lu, anorm, norm="1")
         if info != 0 or rcond < RCOND_LIMIT:
             raise SingularJacobianError(
@@ -185,7 +186,7 @@ def _newton_stage(h, hp, curv, f, p, q, cfg: SolverConfig, grid: Grid,
             if ok:
                 break
             damping *= 0.5
-            if damping < cfg.damping_min:
+            if damping < DAMPING_MIN:
                 raise StagnationError(
                     f"damping underflow at stage t = {t_label:.3f},"
                     f" residual {res_sup:.3e}",
@@ -199,49 +200,39 @@ def _newton_stage(h, hp, curv, f, p, q, cfg: SolverConfig, grid: Grid,
     return h, hp, curv, res_sup
 
 
-def _initial_values(params: ProblemParams, initial, grid: Grid) -> np.ndarray:
-    if initial is not None:
-        if initial.grid.n_points != grid.n_points:
-            raise ValueError("initial body must live on the data grid")
-        return initial.values.copy()
-    mean_f = float(np.mean(params.f.values))
-    return np.full(grid.n_points, mean_f ** (1.0 / (params.q - params.p)))
+def _derivatives(h: np.ndarray, grid: Grid):
+    """The Newton state (h, h', h'' + h) of support values h."""
+    s = PeriodicSamples(h, grid)
+    return h, diff(s, 1).values, diff(s, 2).values + h
 
 
-def _continuation(params: ProblemParams, initial, cfg: SolverConfig,
-                  step: float, trace: list | None = None) -> SolveReport:
+def _continuation(f: PeriodicSamples, p: float, q: float, cfg: SolverConfig,
+                  step: float, trace: list, stages: list):
     """Damped Newton on the data (1 - t) mean(f) + t f, t rising from 0 to 1.
 
-    A solved stage doubles ``step``; a failed one is retried from the last
-    solved t with half of it, until that falls below MIN_STEP.  Only the
-    constant start solves t = 0, so an explicit ``initial`` gets no retry.
-    Steps are appended to ``trace``, which may hold earlier attempts.
+    Starts from mean(f)^(1/(q-p)), which solves t = 0.  A solved stage
+    doubles ``step``; a failed one is retried from the last solved t with
+    half of it, until that falls below MIN_STEP and the stage's error is
+    raised.  Steps are appended to ``trace`` and each stage's step count to
+    ``stages``; both may hold earlier attempts.  Returns the final
+    (h, h', h'' + h, residual sup).
     """
-    if params.q == params.p:
-        raise ParameterRangeError("q = p is outside the solvable family")
-    grid = params.f.grid
-    f = params.f.values
-    mean_f = float(np.mean(f))
-    h = _initial_values(params, initial, grid)
-    s = PeriodicSamples(h, grid)
-    state = (h, diff(s, 1).values, diff(s, 2).values + h)
-    trace = [] if trace is None else trace
-    stage_iterations: list = []
+    grid = f.grid
+    mean_f = float(np.mean(f.values))
+    state = _derivatives(np.full(grid.n_points, mean_f ** (1.0 / (q - p))), grid)
     t0 = 0.0
     while t0 < 1.0:
         t = min(1.0, t0 + step)
         before = len(trace)
         err = None
         try:
-            *reached, res_sup = _newton_stage(*state, (1.0 - t) * mean_f + t * f,
-                                              params.p, params.q, cfg, grid, trace, t)
+            *reached, res_sup = _newton_stage(*state, (1.0 - t) * mean_f + t * f.values,
+                                              p, q, cfg, grid, trace, t)
         except (StagnationError, SingularJacobianError) as exc:
-            if initial is not None:
-                raise
             # the traceback would keep the failed stage's Jacobian and LU alive
             err = exc.with_traceback(None)
-        stage_iterations.append(len(trace) - before)
-        if err is None and (res_sup <= cfg.newton_tol or initial is not None):
+        stages.append(len(trace) - before)
+        if err is None and res_sup <= cfg.newton_tol:
             t0, state = t, reached
             step *= 2.0
             continue
@@ -254,17 +245,7 @@ def _continuation(params: ProblemParams, initial, cfg: SolverConfig,
         step = 0.5 * (t - t0)
         if step < MIN_STEP:
             raise err
-    h, hp, curv = state
-    return SolveReport(
-        body=SupportFunction(PeriodicSamples(h, grid), validate=False),
-        residual_sup=res_sup,
-        iterations=len(trace),
-        min_h=float(h.min()),
-        min_curvature=float(curv.min()),
-        converged=res_sup <= cfg.newton_tol,
-        stage_iterations=stage_iterations,
-        trace=trace,
-    )
+    return (*state, res_sup)
 
 
 def _level_grids(grid: Grid) -> list:
@@ -275,37 +256,43 @@ def _level_grids(grid: Grid) -> list:
     return grids
 
 
-def _sequenced(params: ProblemParams, grids: list, cfg: SolverConfig,
-               trace: list, stage_iterations: list, levels: list):
+def _sequenced(params: ProblemParams, cfg: SolverConfig, trace: list,
+               stages: list, levels: list):
     """Coarse solve, then a direct Newton polish per finer grid.
 
-    Returns the fine-grid report, or None once a level raises or ends
-    unconverged; the steps taken stay in ``trace``, ``stage_iterations`` and
+    Returns the fine-grid (h, h'' + h, residual sup, level gap), or None if
+    the grid is too small to sequence or once a level raises or ends
+    unconverged; the steps taken stay in ``trace``, ``stages`` and
     ``levels`` either way.
     """
-    rep = start = None
+    grids = _level_grids(params.f.grid)
+    if len(grids) == 1:
+        return None
+    p, q = params.p, params.q
+    h = start = None
     for grid in grids:
-        level = params
-        if grid is not params.f.grid:
-            f = restrict(params.f, grid)
+        f = params.f
+        if grid is not f.grid:
+            f = restrict(f, grid)
             if float(f.values.min()) <= 0.0:
                 return None
-            level = ProblemParams(params.p, params.q, f)
-        if rep is not None:
-            start = SupportFunction(resample(rep.body.h, grid), validate=False)
         before = len(trace)
         try:
-            rep = _continuation(level, start, cfg, 1.0, trace)
+            if h is None:
+                h, _, curv, res_sup = _continuation(f, p, q, cfg, 1.0, trace, stages)
+            else:
+                start = resample(PeriodicSamples(h, coarse), grid).values
+                h, _, curv, res_sup = _newton_stage(*_derivatives(start, grid), f.values,
+                                                    p, q, cfg, grid, trace, 1.0)
         except (StagnationError, SingularJacobianError):
-            rep = None
+            res_sup = np.inf
+        if start is not None:  # _continuation records its own stages
+            stages.append(len(trace) - before)
         levels.append((grid.n_points, len(trace) - before))
-        stage_iterations.extend([len(trace) - before] if rep is None
-                                else rep.stage_iterations)
-        if rep is None or not rep.converged:
+        if not res_sup <= cfg.newton_tol:
             return None
-    h = rep.body.values
-    rep.level_gap = float(np.max(np.abs(h - start.values)) / np.max(h))
-    return rep
+        coarse = grid
+    return h, curv, res_sup, float(np.max(np.abs(h - start)) / np.max(h))
 
 
 def _tail_ratio(h: np.ndarray) -> float:
@@ -335,22 +322,40 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
     answer came from the sequence.
     """
     cfg = config or SolverConfig()
-    trace: list = []
-    stage_iterations: list = []
-    levels: list = []
-    grids = _level_grids(params.f.grid)
-    rep = None
-    if initial is None and len(grids) > 1:
-        rep = _sequenced(params, grids, cfg, trace, stage_iterations, levels)
-    if rep is None:
-        before = len(trace)
-        rep = _continuation(params, initial, cfg, 1.0, trace)
-        stage_iterations.extend(rep.stage_iterations)
-        levels.append((params.f.grid.n_points, len(trace) - before))
-    rep.stage_iterations = stage_iterations
-    rep.levels = levels
-    rep.tail_ratio = _tail_ratio(rep.body.values)
-    return rep
+    p, q, f = params.p, params.q, params.f
+    if q == p:
+        raise ParameterRangeError("q = p is outside the solvable family")
+    grid = f.grid
+    trace, stages, levels = [], [], []
+    level_gap = None
+    if initial is not None:
+        if initial.grid.n_points != grid.n_points:
+            raise ValueError("initial body must live on the data grid")
+        h, _, curv, res_sup = _newton_stage(*_derivatives(initial.values.copy(), grid),
+                                            f.values, p, q, cfg, grid, trace, 1.0)
+        stages.append(len(trace))
+        levels.append((grid.n_points, len(trace)))
+    else:
+        sequenced = _sequenced(params, cfg, trace, stages, levels)
+        if sequenced is None:
+            before = len(trace)
+            h, _, curv, res_sup = _continuation(f, p, q, cfg, 1.0, trace, stages)
+            levels.append((grid.n_points, len(trace) - before))
+        else:
+            h, curv, res_sup, level_gap = sequenced
+    return SolveReport(
+        body=SupportFunction(PeriodicSamples(h, grid), validate=False),
+        residual_sup=res_sup,
+        iterations=len(trace),
+        min_h=float(h.min()),
+        min_curvature=float(curv.min()),
+        converged=res_sup <= cfg.newton_tol,
+        stage_iterations=stages,
+        trace=trace,
+        levels=levels,
+        tail_ratio=_tail_ratio(h),
+        level_gap=level_gap,
+    )
 
 
 def report_to_dict(report: SolveReport, include_trace: bool = False) -> dict:

@@ -198,7 +198,8 @@ class TestConfigHandling:
 
     def test_unknown_solver_key(self, tmp_path):
         # retired SolverConfig fields are unknown keys now
-        for key, value in (("positivity_floor", 1e-8), ("continuation_steps", 10)):
+        for key, value in (("positivity_floor", 1e-8), ("continuation_steps", 10),
+                           ("damping_min", 1e-4)):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({"solver": {key: value}}))
             code = main(["solve", "--p", "0.5", "--q", "2", "--f-const", "1",

@@ -57,16 +57,7 @@ class TestDiff:
         with pytest.raises(ValueError):
             diff(s, 3)
         with pytest.raises(ValueError):
-            diff(s, 1, method="magic")
-
-    def test_fd_fallback_second_order(self):
-        exact = lambda t: -4.0 * np.sin(2 * t)
-        errs = []
-        for n in (64, 128):
-            g = Grid(n)
-            s = PeriodicSamples(np.sin(2 * g.theta), g)
-            errs.append(np.max(np.abs(diff(s, 2, method="fd").values - exact(g.theta))))
-        assert errs[0] / errs[1] > 3.5  # O(spacing^2)
+            diff_matrix(Grid(32), 3)
 
     def test_matrix_matches_function(self, rng):
         g = Grid(64)

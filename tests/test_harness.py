@@ -33,7 +33,6 @@ def _failing_john(monkeypatch, failing_call):
             raise EllipseSolveError("injected failure", best=None)
         return real(body, **kw)
 
-    monkeypatch.delenv("S1MK_THREADS", raising=False)
     monkeypatch.setattr(harness, "john", flaky)
 
 
@@ -149,12 +148,6 @@ class TestRunSandwich:
         bytes_b = open(b["csv"], "rb").read()
         assert bytes_a == bytes_b
         assert b"\r\n" in bytes_a
-
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        a = run_sandwich(self._cfg(tmp_path / "serial"))
-        monkeypatch.setenv("S1MK_THREADS", "2")
-        b = run_sandwich(self._cfg(tmp_path / "threads"))
-        assert open(a["csv"], "rb").read() == open(b["csv"], "rb").read()
 
     def test_failed_fit_marks_its_row(self, tmp_path, monkeypatch):
         _failing_john(monkeypatch, 3)  # the free fit of sample s001
