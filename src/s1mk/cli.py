@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -79,98 +78,85 @@ def _xy(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected x,y coordinates, got {text!r}")
 
 
-def _add_common(sp, with_grid=True):
-    if with_grid:
-        sp.add_argument("--grid", type=int, default=None,
+def _add_common(sp, grid=False, seed=False):
+    if grid:
+        sp.add_argument("--grid", type=int,
                         help="number of angular samples (even, >= 16)")
-    sp.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    sp.add_argument("--config", default=None, help="JSON config file")
-    sp.add_argument("--out", default=None, help="output directory")
-    sp.add_argument("--trace", action="store_true", help="keep iteration traces")
+    if seed:
+        sp.add_argument("--seed", type=int, help="master RNG seed")
+    sp.add_argument("--config", help="JSON config file")
+    sp.add_argument("--out", help="output directory")
 
 
-def build_parser() -> _Parser:
+def build_parser() -> tuple:
+    """The parser and its subcommand parsers by name."""
     parser = _Parser(prog="s1mk",
                      description="planar shape-from-measure solver and "
                                  "convex geometry checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("solve", help="solve for a body with the given measure density")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--q", type=float, default=None)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None,
+    sp.add_argument("--p", type=float)
+    sp.add_argument("--q", type=float)
+    sp.add_argument("--lambda", dest="lam", type=float,
                     help="two-sided data bound (f in [1/lambda, lambda])")
-    sp.add_argument("--f-const", type=float, default=None,
-                    help="constant data value")
-    sp.add_argument("--f-kind", default=None,
-                    choices=["trig", "bump", "piecewise"],
+    sp.add_argument("--f-const", type=float, help="constant data value")
+    sp.add_argument("--f-kind", choices=["trig", "bump", "piecewise"],
                     help="seeded data generator")
-    sp.add_argument("--f-file", default=None,
-                    help="JSON file with sampled data values")
-    sp.add_argument("--init", default=None,
+    sp.add_argument("--f-file", help="JSON file with sampled data values")
+    sp.add_argument("--init",
                     help="JSON body file to start Newton from (no continuation)")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_solve)
+    sp.add_argument("--trace", action="store_true", help="keep iteration traces")
+    _add_common(sp, grid=True, seed=True)
+    # ``solver`` has no flag: only a config file sets it
+    sp.set_defaults(func=cmd_solve, grid=256, seed=0, out=".", f_kind="trig",
+                    solver={})
 
     sp = sub.add_parser("measures", help="densities and totals of a body")
     sp.add_argument("body", help="JSON body file")
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--q", type=float, default=None)
-    _add_common(sp, with_grid=False)
-    sp.set_defaults(func=cmd_measures)
+    sp.add_argument("--p", type=float)
+    sp.add_argument("--q", type=float)
+    _add_common(sp)
+    sp.set_defaults(func=cmd_measures, p=1.0, q=2.0, out=".")
 
     sp = sub.add_parser("john", help="largest inscribed ellipse of a body")
     sp.add_argument("body", help="JSON body file")
     sp.add_argument("--centroid", action="store_true",
                     help="pin the ellipse center at the centroid")
-    sp.add_argument("--center", type=_xy, default=None,
-                    help="pin the ellipse center at x,y")
-    _add_common(sp, with_grid=False)
-    sp.set_defaults(func=cmd_john)
+    sp.add_argument("--center", type=_xy, help="pin the ellipse center at x,y")
+    _add_common(sp)
+    sp.set_defaults(func=cmd_john, out=".")
 
     sp = sub.add_parser("verify-variational",
                         help="first-variation identity checks")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_verify_variational)
+    _add_common(sp, grid=True)
+    sp.set_defaults(func=cmd_verify_variational, grid=256)
 
     sp = sub.add_parser("sweep", help="seeded experiment batteries")
     sp.add_argument("sweep_kind",
                     choices=["sandwich", "diameter", "uniqueness", "maxprinciple"])
-    sp.add_argument("--p", type=float, default=None)
-    sp.add_argument("--q", type=float, default=None)
-    sp.add_argument("--lambda", dest="lam", type=float, default=None)
-    sp.add_argument("--samples", type=int, default=None)
-    sp.add_argument("--f-kind", default=None,
-                    choices=["trig", "bump", "piecewise"])
-    sp.add_argument("--eps", type=float, default=None,
+    sp.add_argument("--p", type=float)
+    sp.add_argument("--q", type=float)
+    sp.add_argument("--lambda", dest="lam", type=float)
+    sp.add_argument("--samples", type=int)
+    sp.add_argument("--f-kind", choices=["trig", "bump", "piecewise"])
+    sp.add_argument("--eps", type=float,
                     help="data deviation level for the uniqueness sweep")
-    sp.add_argument("--starts", type=int, default=None,
+    sp.add_argument("--starts", type=int,
                     help="Newton starts per uniqueness instance")
-    sp.add_argument("--eps-sweep", type=_float_list, default=None,
+    sp.add_argument("--eps-sweep", type=_float_list,
                     help="comma separated deviation levels")
-    _add_common(sp)
+    _add_common(sp, grid=True, seed=True)
     sp.set_defaults(func=cmd_sweep)
 
-    return parser
+    return parser, sub.choices
 
 
-_CONFIG_KEYS = {
-    "p": "p", "q": "q", "lambda": "lam", "lam": "lam", "grid": "grid",
-    "seed": "seed", "out": "out", "samples": "samples", "f_kind": "f_kind",
-    "f_const": "f_const", "f_file": "f_file", "eps": "eps", "starts": "starts",
-    "eps_sweep": "eps_sweep", "trace": "trace",
-}
+# parsed names that are not flags, so no config file sets them
+_NOT_SETTABLE = {"command", "func", "config", "body", "sweep_kind"}
 
-_SOLVER_KEYS = tuple(f.name for f in fields(SolverConfig))
-
-_DEFAULTS = {
-    "solve": {"grid": 256, "seed": 0, "out": "."},
-    "measures": {"p": 1.0, "q": 2.0, "out": "."},
-    "john": {"out": "."},
-    "verify-variational": {"grid": 256, "seed": 0},
-    "sweep": {"grid": 256, "seed": 0, "out": "results", "samples": 50,
-              "lam": 2.0, "f_kind": "trig", "eps": 0.05, "starts": 20},
-}
+# sweep flags named differently from the ExperimentConfig field they set
+_SWEEP_FIELDS = {"samples": "n_samples", "grid": "n_points", "out": "out_dir"}
 
 
 def _load_json_file(path: str):
@@ -183,32 +169,26 @@ def _load_json_file(path: str):
         raise UsageError(f"malformed JSON in {path}: {exc}")
 
 
-def _merge_config(args) -> None:
-    solver_section = None
-    if getattr(args, "config", None):
-        data = _load_json_file(args.config)
-        if not isinstance(data, dict):
-            raise UsageError(f"config {args.config} must hold a JSON object")
-        solver_section = data.pop("solver", None)
-        for key, value in data.items():
-            dest = _CONFIG_KEYS.get(key)
-            if dest is None:
-                raise UsageError(f"unknown config key {key!r}")
-            if hasattr(args, dest) and getattr(args, dest) in (None, False):
-                setattr(args, dest, value)
-    for dest, value in _DEFAULTS[args.command].items():
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, value)
+def _config_defaults(args) -> dict:
+    """The config file's settings, keyed by the subcommand's own dests."""
+    data = _load_json_file(args.config)
+    if not isinstance(data, dict):
+        raise UsageError(f"config {args.config} must hold a JSON object")
+    if "lambda" in data:
+        data["lam"] = data.pop("lambda")
+    unknown = set(data) - (set(vars(args)) - _NOT_SETTABLE)
+    if unknown:
+        raise UsageError(f"unknown config keys for '{args.command}': {sorted(unknown)}")
+    return data
 
-    if solver_section is None:
-        args.solver_config = SolverConfig()
-    else:
-        if not isinstance(solver_section, dict):
-            raise UsageError("config key 'solver' must hold a JSON object")
-        unknown = set(solver_section) - set(_SOLVER_KEYS)
-        if unknown:
-            raise UsageError(f"unknown solver config keys: {sorted(unknown)}")
-        args.solver_config = SolverConfig(**solver_section)
+
+def _solver_config(section) -> SolverConfig:
+    if not isinstance(section, dict):
+        raise UsageError("config key 'solver' must hold a JSON object")
+    try:
+        return SolverConfig(**section)
+    except TypeError as exc:
+        raise UsageError(f"solver config: {exc}")
 
 
 def _require(args, *names) -> None:
@@ -244,9 +224,8 @@ def cmd_solve(args) -> int:
         f = PeriodicSamples(np.full(grid.n_points, args.f_const), grid)
         lam = args.lam
     else:
-        kind = args.f_kind or "trig"
         lam = args.lam if args.lam is not None else 2.0
-        f = gen_f(kind, lam, args.seed, grid)
+        f = gen_f(args.f_kind, lam, args.seed, grid)
 
     params = ProblemParams(args.p, args.q, f, lam=lam)
     initial = None
@@ -256,7 +235,7 @@ def cmd_solve(args) -> int:
             resample(PeriodicSamples(body.values, body.grid), grid).values
         initial = SupportFunction(PeriodicSamples(vals, grid))
 
-    report = solve(params, initial=initial, config=args.solver_config)
+    report = solve(params, initial=initial, config=_solver_config(args.solver))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -334,20 +313,10 @@ def cmd_verify_variational(args) -> int:
 
 def cmd_sweep(args) -> int:
     _require(args, "p", "q")
-    cfg = ExperimentConfig(
-        kind=args.sweep_kind,
-        p=args.p,
-        q=args.q,
-        lam=args.lam,
-        n_samples=args.samples,
-        seed=args.seed,
-        n_points=args.grid,
-        out_dir=args.out,
-        f_kind=args.f_kind,
-        eps=args.eps,
-        starts=args.starts,
-        eps_sweep=tuple(args.eps_sweep or ()),
-    )
+    # only what the user set, so every other default lives in ExperimentConfig
+    given = {_SWEEP_FIELDS.get(dest, dest): value for dest, value in vars(args).items()
+             if value is not None and dest not in _NOT_SETTABLE}
+    cfg = ExperimentConfig(kind=args.sweep_kind, **given)
     runner = {
         "sandwich": run_sandwich,
         "diameter": run_diameter,
@@ -374,10 +343,13 @@ def cmd_sweep(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        if args.config is not None:
+            # config values become defaults, so an explicit flag always wins
+            commands[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"s1mk: error: {exc}", file=sys.stderr)

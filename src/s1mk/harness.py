@@ -63,7 +63,6 @@ class ExperimentConfig:
     eps: float = 0.05
     starts: int = 20
     eps_sweep: tuple = ()
-    c1_floor: float = 1e-8
 
     def __post_init__(self):
         if self.n_samples < 1:
@@ -195,6 +194,15 @@ def _spawned(seed: int, count: int):
     return np.random.SeedSequence(seed).spawn(count)
 
 
+def _write_summary(cfg: ExperimentConfig, kind: str, fields: dict) -> dict:
+    """Write ``<kind>_summary.json``: the keys every sweep records, then fields."""
+    summary = {"kind": kind, "p": cfg.p, "q": cfg.q, "seed": cfg.seed,
+               "n_samples": cfg.n_samples, **fields, "generated_at": _timestamp()}
+    path = Path(cfg.out_dir) / f"{kind}_summary.json"
+    write_json(path, summary)
+    return {"summary": summary, "summary_path": str(path)}
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 
@@ -221,7 +229,7 @@ def run_sandwich(cfg: ExperimentConfig) -> dict:
             ell, ell_c = fit()
         except EllipseSolveError:
             return (name, kind, None, None, None, None)
-        rep = sandwich_ratio(body, cfg.p, cfg.q, c1_floor=cfg.c1_floor, ellipse=ell)
+        rep = sandwich_ratio(body, cfg.p, cfg.q, ellipse=ell)
         factor = containment_report(body, ell_c)["containment_factor"]
         return (name, kind, rep, ell, ell_c, factor)
 
@@ -249,17 +257,11 @@ def run_sandwich(cfg: ExperimentConfig) -> dict:
                      rep.ratio, rep.c2, rep.upper_ok, rep.lower_ok,
                      ell_c.r1, ell_c.r2, factor, True])
 
-    out = Path(cfg.out_dir)
-    csv_path = out / "sandwich.csv"
+    csv_path = Path(cfg.out_dir) / "sandwich.csv"
     write_csv(csv_path, header, rows)
     fitted = [r for r in results if r[2] is not None]
     ratios = [rep.ratio for _, _, rep, _, _, _ in fitted]
-    summary = {
-        "kind": "sandwich",
-        "p": cfg.p,
-        "q": cfg.q,
-        "seed": cfg.seed,
-        "n_samples": cfg.n_samples,
+    return {"csv": str(csv_path), **_write_summary(cfg, "sandwich", {
         "n_rows": len(rows),
         "n_converged": len(fitted),
         "c2": sandwich_c2(cfg.p, cfg.q),
@@ -269,11 +271,7 @@ def run_sandwich(cfg: ExperimentConfig) -> dict:
                                 for _, _, rep, _, _, _ in fitted),
         "lower_floor_observed": min(ratios, default=None),
         "containment_centroid_max": max((r[5] for r in fitted), default=None),
-        "generated_at": _timestamp(),
-    }
-    json_path = out / "sandwich_summary.json"
-    write_json(json_path, summary)
-    return {"csv": str(csv_path), "summary": summary, "summary_path": str(json_path)}
+    })}
 
 
 def run_diameter(cfg: ExperimentConfig) -> dict:
@@ -323,25 +321,15 @@ def run_diameter(cfg: ExperimentConfig) -> dict:
                                    lam=1.0))
     baseline_max = float(np.max(baseline.body.values))
 
-    out = Path(cfg.out_dir)
-    csv_path = out / "diameter.csv"
+    csv_path = Path(cfg.out_dir) / "diameter.csv"
     write_csv(csv_path, header, rows)
     n_conv = sum(1 for row in rows if row[3])
-    summary = {
-        "kind": "diameter",
-        "p": cfg.p,
-        "q": cfg.q,
+    return {"csv": str(csv_path), **_write_summary(cfg, "diameter", {
         "lambda": cfg.lam,
-        "seed": cfg.seed,
-        "n_samples": cfg.n_samples,
         "n_converged": n_conv,
         "empirical_max_h": max(max_h_all) if max_h_all else None,
         "baseline_max_h": baseline_max,
-        "generated_at": _timestamp(),
-    }
-    json_path = out / "diameter_summary.json"
-    write_json(json_path, summary)
-    return {"csv": str(csv_path), "summary": summary, "summary_path": str(json_path)}
+    })}
 
 
 def holder_proxy(deviation: np.ndarray, grid: Grid, alpha: float = 0.5) -> float:
@@ -420,21 +408,12 @@ def run_uniqueness(cfg: ExperimentConfig) -> dict:
         })
 
     agreeing = [blk["eps"] for blk in per_eps if blk["all_agree"]]
-    summary = {
-        "kind": "uniqueness",
-        "p": cfg.p,
-        "q": cfg.q,
-        "seed": cfg.seed,
-        "n_samples": cfg.n_samples,
+    return _write_summary(cfg, "uniqueness", {
         "starts": cfg.starts,
         "eps_values": list(eps_values),
         "results": per_eps,
         "empirical_uniqueness_radius": max(agreeing) if agreeing else None,
-        "generated_at": _timestamp(),
-    }
-    json_path = Path(cfg.out_dir) / "uniqueness_summary.json"
-    write_json(json_path, summary)
-    return {"summary": summary, "summary_path": str(json_path)}
+    })
 
 
 def run_maxprinciple(cfg: ExperimentConfig) -> dict:
@@ -474,22 +453,13 @@ def run_maxprinciple(cfg: ExperimentConfig) -> dict:
                                     lam=cfg.lam))
     gap = abs(float(np.max(rep_const.body.values)) - cfg.lam**expo)
 
-    summary = {
-        "kind": "maxprinciple",
-        "p": cfg.p,
-        "q": cfg.q,
+    return _write_summary(cfg, "maxprinciple", {
         "lambda": cfg.lam,
-        "seed": cfg.seed,
-        "n_samples": cfg.n_samples,
         "violations": 0,
         "records": records,
         "worst_margin": min(r["margin"] for r in records),
         "constant_data_equality_gap": gap,
-        "generated_at": _timestamp(),
-    }
-    json_path = Path(cfg.out_dir) / "maxprinciple_summary.json"
-    write_json(json_path, summary)
-    return {"summary": summary, "summary_path": str(json_path)}
+    })
 
 
 def run_variational(n_points: int = 256, out_dir: str | None = None) -> dict:

@@ -36,6 +36,10 @@ from .body import SupportFunction, boundary_xy, diameter
 from .errors import EllipseSolveError, ParameterRangeError
 from .measures import lp_dual_density
 
+# sandwich_ratio's lower floor for the ratio and roundoff allowance above c2
+SANDWICH_C1_FLOOR = 1e-8
+SANDWICH_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class Ellipse:
@@ -271,30 +275,31 @@ def john(body: SupportFunction, center=None) -> Ellipse:
                    ell.angle)
 
 
+def _gauge(body: SupportFunction, ellipse: Ellipse):
+    """E's gauge g of each sampled boundary point and its distance r from E's
+    center; the point lies on the dilate sE exactly when g = s."""
+    pts = boundary_xy(body) - ellipse.center
+    binv = np.linalg.inv(ellipse.shape_matrix)
+    mapped = pts @ binv.T
+    g = np.maximum(np.hypot(mapped[:, 0], mapped[:, 1]), 1e-300)
+    return g, np.hypot(pts[:, 0], pts[:, 1])
+
+
 def gauge_distances(body: SupportFunction, ellipse: Ellipse) -> np.ndarray:
     """Signed radial distance of each sampled boundary point to the ellipse.
 
     Negative means inside E; the units are lengths along the ray from the
     ellipse center, so the values compare directly with body diameters.
     """
-    pts = boundary_xy(body) - ellipse.center
-    binv = np.linalg.inv(ellipse.shape_matrix)
-    mapped = pts @ binv.T
-    g = np.hypot(mapped[:, 0], mapped[:, 1])
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    g = np.maximum(g, 1e-300)
+    g, r = _gauge(body, ellipse)
     return (g - 1.0) * r / g
 
 
 def containment_report(body: SupportFunction, ellipse: Ellipse) -> dict:
     """Certificates for E inside K (vertexwise) and K inside 2E."""
-    dists = gauge_distances(body, ellipse)
+    g, r = _gauge(body, ellipse)
+    dists = (g - 1.0) * r / g
     diam = diameter(body)
-    pts = boundary_xy(body) - ellipse.center
-    binv = np.linalg.inv(ellipse.shape_matrix)
-    mapped = pts @ binv.T
-    g = np.maximum(np.hypot(mapped[:, 0], mapped[:, 1]), 1e-300)
-    r = np.hypot(pts[:, 0], pts[:, 1])
     outer = (g - 2.0) * r / g
     factor = float(np.max(g))
     return {
@@ -312,7 +317,6 @@ def sandwich_c2(p: float, q: float) -> float:
 
 
 def sandwich_ratio(body: SupportFunction, p: float, q: float,
-                   c1_floor: float = 1e-8, tol: float = 1e-9,
                    ellipse: Ellipse | None = None) -> SandwichReport:
     """Total measure against the inscribed-ellipse comparison quantity.
 
@@ -332,8 +336,8 @@ def sandwich_ratio(body: SupportFunction, p: float, q: float,
     c2 = sandwich_c2(p, q)
     return SandwichReport(
         ratio=ratio,
-        lower_ok=bool(ratio >= c1_floor),
-        upper_ok=bool(ratio <= c2 * (1.0 + 1e-12) + tol),
+        lower_ok=bool(ratio >= SANDWICH_C1_FLOOR),
+        upper_ok=bool(ratio <= c2 * (1.0 + 1e-12) + SANDWICH_TOL),
         c2=c2,
         total=total,
         r1=r1,

@@ -30,7 +30,7 @@ from .body import radial  # noqa: F401
 from .errors import OriginOnBoundaryError, ParameterRangeError, SingularDensityError
 from .grid import PeriodicSamples, integrate
 
-DEFAULT_STEPS = (1e-2, 5e-3, 2.5e-3)
+VARIATION_STEPS = (1e-2, 5e-3, 2.5e-3)
 _SINGULAR_TOL = 1e-12
 
 
@@ -174,46 +174,43 @@ def _one_sided_slopes(fun, steps):
     return tuple((fun(s) - base) / s for s in steps)
 
 
-def check_aleksandrov(k: SupportFunction, l: SupportFunction,
-                      steps=DEFAULT_STEPS) -> VariationalReport:
+def _variation_report(volume, rhs: float, normalization=None) -> VariationalReport:
+    """Extrapolated slope of volume(t) at t = 0 against the first variation rhs."""
+    slopes = _one_sided_slopes(volume, VARIATION_STEPS)
+    lhs = extrapolate_to_zero(VARIATION_STEPS, slopes)
+    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+    return VariationalReport(lhs, rhs, rel, VARIATION_STEPS, slopes, normalization)
+
+
+def check_aleksandrov(k: SupportFunction, l: SupportFunction) -> VariationalReport:
     """First variation of area along t -> K + tL against integral h_L dS_K."""
-    slopes = _one_sided_slopes(lambda t: area(minkowski_sum(k, l, t)) if t else area(k),
-                               steps)
-    lhs = extrapolate_to_zero(steps, slopes)
     hl = _common_grid(k, l).values
     rhs = integrate(PeriodicSamples(hl * k.curvature.values, k.grid))
-    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return VariationalReport(lhs, rhs, rel, tuple(steps), slopes)
+    return _variation_report(
+        lambda t: area(minkowski_sum(k, l, t)) if t else area(k), rhs)
 
 
-def check_lp_variational(k: SupportFunction, l: SupportFunction, p: float,
-                         steps=DEFAULT_STEPS) -> VariationalReport:
+def check_lp_variational(k: SupportFunction, l: SupportFunction,
+                         p: float) -> VariationalReport:
     """First variation of area along the Firey path against the p-measure pairing."""
     if p < 1.0:
         raise ParameterRangeError(f"variational check needs p >= 1, got {p}")
-    slopes = _one_sided_slopes(lambda t: area(p_sum(k, l, t, p)) if t else area(k),
-                               steps)
-    lhs = extrapolate_to_zero(steps, slopes)
     hl = _common_grid(k, l).values
     integrand = hl**p * _lp_factor(k.values, p)[0] * k.curvature.values
     rhs = integrate(PeriodicSamples(integrand, k.grid)) / p
-    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return VariationalReport(lhs, rhs, rel, tuple(steps), slopes)
+    return _variation_report(
+        lambda t: area(p_sum(k, l, t, p)) if t else area(k), rhs)
 
 
-def check_dual_variational(k: SupportFunction, l: SupportFunction, q: float,
-                           steps=DEFAULT_STEPS) -> VariationalReport:
+def check_dual_variational(k: SupportFunction, l: SupportFunction,
+                           q: float) -> VariationalReport:
     """First variation of the q-th dual volume along t -> K + tL.
 
     The right side is q times the pairing of h_L / h_K with the dual
     curvature density; the report records its normalization 0.5.
     """
-    slopes = _one_sided_slopes(
-        lambda t: dual_volume(minkowski_sum(k, l, t), q) if t else dual_volume(k, q),
-        steps,
-    )
-    lhs = extrapolate_to_zero(steps, slopes)
     hl = _common_grid(k, l).values
     rhs = q * integrate(PeriodicSamples(hl / k.values * _dual_curvature(k, q), k.grid))
-    rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-    return VariationalReport(lhs, rhs, rel, tuple(steps), slopes, normalization=0.5)
+    return _variation_report(
+        lambda t: dual_volume(minkowski_sum(k, l, t), q) if t else dual_volume(k, q),
+        rhs, normalization=0.5)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from s1mk import Grid, disk, ellipse_body, from_json, to_json
+from s1mk import ExperimentConfig, Grid, disk, ellipse_body, from_json, run_diameter, to_json
 from s1mk.cli import main
 
 
@@ -169,6 +169,15 @@ class TestSweepCommand:
         assert code == 0
         assert "empirical_uniqueness_radius=0.05" in capsys.readouterr().out
 
+    def test_defaults_are_the_experiment_config_defaults(self, tmp_path):
+        code = main(["sweep", "diameter", "--p", "0.5", "--q", "2",
+                     "--samples", "2", "--out", str(tmp_path / "cli")])
+        assert code == 0
+        lib = run_diameter(ExperimentConfig(kind="diameter", p=0.5, q=2, n_samples=2,
+                                            out_dir=str(tmp_path / "lib")))
+        with open(lib["csv"], "rb") as fh:
+            assert (tmp_path / "cli" / "diameter.csv").read_bytes() == fh.read()
+
 
 class TestConfigHandling:
     def test_cli_flag_beats_config(self, tmp_path, disk_file):
@@ -188,6 +197,25 @@ class TestConfigHandling:
         assert code == 0
         totals = json.loads((tmp_path / "totals.json").read_text())
         assert totals["p"] == 0.5 and totals["q"] == 3.0
+
+    def test_zero_flags_beat_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"p": 0.5, "seed": 3}))
+        flags = ["solve", "--p", "0", "--q", "2", "--seed", "0", "--grid", "64"]
+        assert main(flags + ["--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        assert main(flags + ["--out", str(tmp_path / "b")]) == 0
+        assert ((tmp_path / "a" / "solution.json").read_bytes()
+                == (tmp_path / "b" / "solution.json").read_bytes())
+
+    def test_key_foreign_to_subcommand(self, tmp_path):
+        # solve has no --samples, and only solve reads a solver section
+        for command, data in ((["solve", "--p", "0.5", "--q", "2", "--f-const", "1"],
+                               {"samples": 7}),
+                              (["verify-variational"], {"solver": {"max_newton": 5}})):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(data))
+            code = main(command + ["--config", str(cfg), "--out", str(tmp_path)])
+            assert code == 64, data
 
     def test_unknown_config_key(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -215,6 +243,13 @@ class TestConfigHandling:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv", [["measures", "body.json", "--trace"],
+                                      ["john", "body.json", "--seed", "1"]])
+    def test_flags_only_where_read(self, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 64
+
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc_info:
             main(["frobnicate"])
