@@ -108,9 +108,9 @@ def build_parser() -> tuple:
                     help="JSON body file to start Newton from (no continuation)")
     sp.add_argument("--trace", action="store_true", help="keep iteration traces")
     _add_common(sp, grid=True, seed=True)
-    # ``solver`` has no flag: only a config file sets it
-    sp.set_defaults(func=cmd_solve, grid=256, seed=0, out=".", f_kind="trig",
-                    solver={})
+    # ``solver`` has no flag: only a config file sets it.  --f-kind and --seed
+    # default in cmd_solve, which must see whether they were given.
+    sp.set_defaults(func=cmd_solve, grid=256, out=".", solver={})
 
     sp = sub.add_parser("measures", help="densities and totals of a body")
     sp.add_argument("body", help="JSON body file")
@@ -169,8 +169,12 @@ def _load_json_file(path: str):
         raise UsageError(f"malformed JSON in {path}: {exc}")
 
 
-def _config_defaults(args) -> dict:
-    """The config file's settings, keyed by the subcommand's own dests."""
+def _config_defaults(args, subparser) -> dict:
+    """The config file's settings, keyed by the subcommand's own dests.
+
+    argparse converts and checks only defaults that are strings, so a value
+    for a typed flag is passed as the text it would have on the command line.
+    """
     data = _load_json_file(args.config)
     if not isinstance(data, dict):
         raise UsageError(f"config {args.config} must hold a JSON object")
@@ -179,6 +183,10 @@ def _config_defaults(args) -> dict:
     unknown = set(data) - (set(vars(args)) - _NOT_SETTABLE)
     if unknown:
         raise UsageError(f"unknown config keys for '{args.command}': {sorted(unknown)}")
+    typed = {action.dest for action in subparser._actions if action.type is not None}
+    for key, value in data.items():
+        if key in typed and not isinstance(value, str):
+            data[key] = ",".join(map(str, value)) if isinstance(value, list) else str(value)
     return data
 
 
@@ -208,8 +216,12 @@ def _load_body(path: str) -> SupportFunction:
 def cmd_solve(args) -> int:
     _require(args, "p", "q")
     grid = Grid(args.grid)
-    if args.f_file is not None and args.f_const is not None:
+    given = [flag for flag, value in (("--f-file", args.f_file), ("--f-const", args.f_const))
+             if value is not None]
+    if len(given) == 2:
         raise UsageError("--f-file and --f-const are mutually exclusive")
+    if given and (args.f_kind is not None or args.seed is not None):
+        raise UsageError(f"--f-kind and --seed set generated data; {given[0]} gives the data")
 
     if args.f_file is not None:
         data = _load_json_file(args.f_file)
@@ -225,7 +237,7 @@ def cmd_solve(args) -> int:
         lam = args.lam
     else:
         lam = args.lam if args.lam is not None else 2.0
-        f = gen_f(args.f_kind, lam, args.seed, grid)
+        f = gen_f(args.f_kind or "trig", lam, args.seed or 0, grid)
 
     params = ProblemParams(args.p, args.q, f, lam=lam)
     initial = None
@@ -348,7 +360,8 @@ def main(argv=None) -> int:
     try:
         if args.config is not None:
             # config values become defaults, so an explicit flag always wins
-            commands[args.command].set_defaults(**_config_defaults(args))
+            subparser = commands[args.command]
+            subparser.set_defaults(**_config_defaults(args, subparser))
             args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

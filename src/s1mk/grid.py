@@ -119,10 +119,23 @@ def trig_eval(samples: PeriodicSamples, theta: np.ndarray) -> np.ndarray:
 
 
 def resample(samples: PeriodicSamples, out_grid: Grid) -> PeriodicSamples:
-    """Move samples to another grid via trigonometric interpolation."""
-    if out_grid.n_points == samples.n:
+    """Move samples to another grid via trigonometric interpolation.
+
+    A finer grid gets the rfft zero-padded, which evaluates the interpolant at
+    its nodes in O(m log m).  The coarse Nyquist mode is ``trig_eval``'s pure
+    cosine, so it splits evenly between modes +-n/2; ``restrict`` adds the
+    halves back, which makes it the exact inverse.  A coarser grid gets
+    ``trig_eval`` at its nodes.
+    """
+    n, m = samples.n, out_grid.n_points
+    if m == n:
         return PeriodicSamples(samples.values.copy(), out_grid)
-    return PeriodicSamples(trig_eval(samples, out_grid.theta), out_grid)
+    if m < n:
+        return PeriodicSamples(trig_eval(samples, out_grid.theta), out_grid)
+    coef = np.zeros(m // 2 + 1, dtype=complex)
+    coef[: n // 2 + 1] = np.fft.rfft(samples.values) * (m / n)
+    coef[n // 2] = 0.5 * coef[n // 2].real
+    return PeriodicSamples(np.fft.irfft(coef, m), out_grid)
 
 
 def restrict(samples: PeriodicSamples, out_grid: Grid) -> PeriodicSamples:

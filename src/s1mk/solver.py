@@ -6,41 +6,47 @@ density minus the data,
     F(h) = h^(1-p) (h^2 + h'^2)^((q-2)/2) (h'' + h) - f,
 
 discretized spectrally on the grid of f and evaluated by the density kernel of
-``measures``.  The exact Frechet derivative is assembled as a dense matrix from
-the differentiation matrices and solved by LU with a LAPACK condition estimate.
-Each Newton stage backtracks on the Euclidean residual norm, rejecting any
-step that leaves the cone of nonnegative convex support functions.
+``measures``.  Its exact Frechet derivative is J v = A v'' + B v' + C v, with
+coefficients from ``_jacobian_coefficients``.  Each Newton stage backtracks on
+the Euclidean residual norm, rejecting any step that leaves the cone of
+nonnegative convex support functions.
 
 ``solve`` first runs Newton on f from mean(f)^(1/(q-p)), which solves the
 constant data mean(f).  Only if that fails does it continue along the data
 (1 - t) mean(f) + t f with step-length control: a solved stage doubles the
 step in t, a failed one is retried with half of it (Allgower and Georg,
-Introduction to Numerical Continuation Methods, SIAM 2003).
+Introduction to Numerical Continuation Methods, SIAM 2003).  These stages,
+and Newton from an explicit start, assemble J as a dense matrix and solve it
+by LU with a LAPACK condition estimate.
 
 On a grid of n >= 2 COARSE_N points without an explicit start, ``solve``
 first sequences grids (nested iteration; Knoll and Keyes, J. Comput. Phys.
 193, 2004): it halves n while the half is even and at least COARSE_N,
 restricts f to each level by Fourier truncation, solves the coarsest level
-by the policy above, and at each finer level prolongs the body by
-trigonometric interpolation and polishes it with direct Newton to the same
-tolerance, measured on that level's grid.  The smooth solutions need far
-fewer modes than a large grid carries, so the fine levels take 0-2 steps
-instead of dense LUs from a constant start.  If any level raises or ends
-unconverged, the fine grid is solved by the policy above from the constant
-start; the abandoned steps stay in the trace.
+by the policy above, and at each finer level prolongs the body by FFT
+zero-padding and polishes it with Newton to the same tolerance, measured on
+that level's grid.  The polish is Jacobian-free Newton-Krylov: GMRES (Saad
+and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) on J applied by FFTs,
+preconditioned by its constant-coefficient part.  The smooth solutions need
+far fewer modes than a large grid carries, so the fine levels take 0-2
+steps.  If a level's answer is too under-resolved to prolong, or any level
+raises or ends unconverged, the fine grid is solved by the dense policy
+above from the constant start; the abandoned steps stay in the trace.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .body import DEFAULT_TOL_CONVEX_SCALE, SupportFunction
 from .errors import ParameterRangeError, SingularJacobianError, StagnationError
-from .grid import Grid, PeriodicSamples, diff, diff_matrix, resample, restrict
+from .grid import Grid, PeriodicSamples, _multiplier, diff, diff_matrix, resample, restrict
 from .measures import ProblemParams, _lp_factor, lp_dual_kernel, singular_floor
 
 RCOND_LIMIT = 1e-14
@@ -52,6 +58,23 @@ MIN_STEP = 1.0 / 32
 COARSE_N = 256
 # Smallest line-search damping before a Newton stage gives up.
 DAMPING_MIN = 1e-4
+# GMRES on the polish levels: relative residual, restart length and restart
+# cycles, so at most 120 iterations.  A prolonged start can sit within 1e2 of
+# its grid's residual floor, where a relative 1e-13 is out of reach.  On 60
+# seeds of the benchmark's n = 512-1024 cases, 1e-6 took 3-31 iterations a
+# step and as many Newton steps as dense LU; an Eisenstat-Walker forcing term
+# took a third fewer iterations but 9-12% more Newton steps, in the same time.
+KRYLOV_RTOL = 1e-6
+KRYLOV_RESTART = 60
+KRYLOV_CYCLES = 2
+# Largest tail ratio of a level's answer that is prolonged and polished.  At
+# n = 512, lambda = 5, every polish that failed started from a coarse tail of
+# 2.7e-5 or more; the tails of successful ones reached 1.8e-5.  Bump data at
+# (0.5, 3) have coarse tails near 2e-7 and polish in 1-2 steps, far cheaper
+# than the dense fallback.
+POLISH_TAIL_LIMIT = 1e-5
+
+_GECON = get_lapack_funcs("gecon", (np.empty((2, 2)),))
 
 
 @dataclass(frozen=True)
@@ -76,6 +99,8 @@ class SolveReport:
     tail_ratio: float
     # max |h - prolonged coarser solution| / max h; None unless sequenced
     level_gap: float | None
+    # GMRES iterations of the polish levels, failed levels included
+    krylov_iterations: int
 
 
 @dataclass(frozen=True)
@@ -94,30 +119,52 @@ def residual(body: SupportFunction, params: ProblemParams) -> PeriodicSamples:
     return PeriodicSamples(vals - params.f.values, body.grid)
 
 
-def _jacobian_matrix(h: np.ndarray, hp: np.ndarray, curv: np.ndarray,
-                     p: float, q: float, grid: Grid) -> np.ndarray:
-    n = h.shape[0]
-    d1 = diff_matrix(grid, 1)
-    d2 = diff_matrix(grid, 2)
-    idx = np.arange(n)
+def _jacobian_coefficients(h: np.ndarray, hp: np.ndarray, curv: np.ndarray,
+                           p: float, q: float):
+    """Coefficients (A, B, C) of the Frechet derivative J v = A v'' + B v' + C v.
+
+    B is None for q = 2, where the density does not depend on h'.
+    """
     lp, active = _lp_factor(h, p)
     # lp_prime is the coefficient (1-p) h^(-p) of the zeroth-order term; it
     # vanishes where the factor does not vary with h.
     lp_prime = np.where(active, (1.0 - p) * np.where(active, h, 1.0) ** (-p), 0.0)
 
     if q == 2.0:
-        mat = lp[:, None] * d2
-        mat[idx, idx] += lp_prime * curv + lp
-        return mat
+        return lp, None, lp_prime * curv + lp
 
     w = h * h + hp * hp
     wfac = w ** (0.5 * (q - 2.0))
     wfac4 = w ** (0.5 * (q - 4.0))
     t2 = lp * (q - 2.0) * wfac4 * curv
     t3 = lp * wfac
-    mat = t3[:, None] * d2 + (t2 * hp)[:, None] * d1
-    mat[idx, idx] += lp_prime * wfac * curv + t2 * h + t3
+    return t3, t2 * hp, lp_prime * wfac * curv + t2 * h + t3
+
+
+def _jacobian_matrix(h: np.ndarray, hp: np.ndarray, curv: np.ndarray,
+                     p: float, q: float, grid: Grid) -> np.ndarray:
+    a, b, c = _jacobian_coefficients(h, hp, curv, p, q)
+    mat = a[:, None] * diff_matrix(grid, 2)
+    if b is not None:
+        mat += b[:, None] * diff_matrix(grid, 1)
+    idx = np.arange(h.shape[0])
+    mat[idx, idx] += c
     return mat
+
+
+def _fft_jacobian(a: np.ndarray, b: np.ndarray | None, c: np.ndarray):
+    """The product v -> A v'' + B v' + C v, by FFT in O(n log n)."""
+    n = a.shape[0]
+    m1, m2 = _multiplier(n, 1), _multiplier(n, 2)
+
+    def apply(v):
+        vh = np.fft.rfft(v)
+        jv = a * np.fft.irfft(m2 * vh, n) + c * v
+        if b is not None:
+            jv += b * np.fft.irfft(m1 * vh, n)
+        return jv
+
+    return apply
 
 
 def jacobian(body: SupportFunction, params: ProblemParams) -> np.ndarray:
@@ -140,32 +187,74 @@ def linearized_spectrum(p: float, k_max: int = 16) -> LinearizedSpectrum:
     return LinearizedSpectrum(p, shifted, bool(np.min(np.abs(shifted)) > 1e-12))
 
 
+def _dense_step(h, hp, curv, r, p, q, grid: Grid) -> np.ndarray:
+    """Newton step J s = -r by dense LU, checked by a LAPACK condition estimate."""
+    jac = _jacobian_matrix(h, hp, curv, p, q, grid)
+    anorm = float(np.linalg.norm(jac, 1))
+    with warnings.catch_warnings():
+        # an exactly zero pivot fails the condition check below
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu, piv = lu_factor(jac)
+    rcond, info = _GECON(lu, anorm, norm="1")
+    if info != 0 or rcond < RCOND_LIMIT:
+        raise SingularJacobianError(
+            f"linearization condition estimate {1.0 / max(rcond, 1e-300):.2e}"
+        )
+    return lu_solve((lu, piv), -r)
+
+
+def _krylov_step(h, hp, curv, r, p, q, grid: Grid, iterations: list) -> np.ndarray:
+    """Newton step J s = -r by GMRES on the FFT-applied Jacobian.
+
+    Right-preconditioned by the constant-coefficient operator
+    M v = A (v'' + mean(B/A) v' + mean(C/A) v), which FFTs invert exactly
+    (Orszag, J. Comput. Phys. 37, 1980), and solved to the relative residual
+    KRYLOV_RTOL.  The iteration count is appended to ``iterations``.
+    """
+    a, b, c = _jacobian_coefficients(h, hp, curv, p, q)
+    if not float(a.min()) > 0.0:
+        raise SingularJacobianError(
+            f"leading Jacobian coefficient min {float(a.min()):.2e} is not positive")
+    n = grid.n_points
+    symbol = _multiplier(n, 2) + float(np.mean(c / a))
+    if b is not None:
+        symbol = symbol + _multiplier(n, 1) * float(np.mean(b / a))
+    if float(np.abs(symbol).min()) <= RCOND_LIMIT * float(np.abs(symbol).max()):
+        raise SingularJacobianError("preconditioner symbol vanishes at a Fourier mode")
+
+    def precondition(v):
+        return np.fft.irfft(np.fft.rfft(v / a) / symbol, n)
+
+    jac = _fft_jacobian(a, b, c)
+    op = LinearOperator((n, n), matvec=lambda y: jac(precondition(y)), dtype=float)
+    history = []  # relative residual after each iteration
+    y, info = gmres(op, -r, rtol=KRYLOV_RTOL, atol=0.0, restart=KRYLOV_RESTART,
+                    maxiter=KRYLOV_CYCLES, callback=history.append,
+                    callback_type="pr_norm")
+    iterations.append(len(history))
+    if info != 0:
+        raise SingularJacobianError(
+            f"GMRES reached relative residual {history[-1]:.2e} after"
+            f" {len(history)} iterations (tolerance {KRYLOV_RTOL:.0e})")
+    return precondition(y)
+
+
 def _newton_stage(h, hp, curv, f, p, q, cfg: SolverConfig, grid: Grid,
-                  trace: list, t_label: float):
+                  trace: list, t_label: float, linear_solve=_dense_step):
     """Damped Newton on fixed data.
 
     (h, hp, curv) are the iterate with its first derivative and curvature
     density; returns the final such triple and its residual sup.  Each
-    accepted step appends (t_label, iteration, residual sup, damping) to trace.
+    Newton step solves J s = -r by ``linear_solve(h, hp, curv, r, p, q,
+    grid)``, and each accepted step appends (t_label, iteration, residual
+    sup, damping) to trace.
     """
-    gecon = get_lapack_funcs("gecon", (np.empty((2, 2)),))
     r = lp_dual_kernel(h, hp, curv, p, q) - f
     res_sup = float(np.max(np.abs(r)))
     res_l2 = float(np.linalg.norm(r))
     it = 0
     while res_sup > cfg.newton_tol and it < cfg.max_newton:
-        jac = _jacobian_matrix(h, hp, curv, p, q, grid)
-        anorm = float(np.linalg.norm(jac, 1))
-        with warnings.catch_warnings():
-            # an exactly zero pivot fails the condition check below
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu, piv = lu_factor(jac)
-        rcond, info = gecon(lu, anorm, norm="1")
-        if info != 0 or rcond < RCOND_LIMIT:
-            raise SingularJacobianError(
-                f"linearization condition estimate {1.0 / max(rcond, 1e-300):.2e}"
-            )
-        step = lu_solve((lu, piv), -r)
+        step = linear_solve(h, hp, curv, r, p, q, grid)
 
         damping = 1.0
         while True:
@@ -257,20 +346,27 @@ def _level_grids(grid: Grid) -> list:
 
 
 def _sequenced(params: ProblemParams, cfg: SolverConfig, trace: list,
-               stages: list, levels: list):
-    """Coarse solve, then a direct Newton polish per finer grid.
+               stages: list, levels: list, krylov: list | None = None):
+    """Coarse solve, then a Newton-Krylov polish per finer grid.
 
+    The coarsest level runs ``_continuation`` with dense LU; each finer
+    level starts from the prolonged body and solves its Newton steps by
+    ``_krylov_step``, whose GMRES iteration counts go to ``krylov``.
     Returns the fine-grid (h, h'' + h, residual sup, level gap), or None if
-    the grid is too small to sequence or once a level raises or ends
-    unconverged; the steps taken stay in ``trace``, ``stages`` and
-    ``levels`` either way.
+    the grid is too small to sequence, if a level's answer is too
+    under-resolved to prolong (tail ratio above POLISH_TAIL_LIMIT), or once
+    a level raises or ends unconverged; the steps taken stay in ``trace``,
+    ``stages`` and ``levels`` either way.
     """
     grids = _level_grids(params.f.grid)
     if len(grids) == 1:
         return None
     p, q = params.p, params.q
+    polish = partial(_krylov_step, iterations=[] if krylov is None else krylov)
     h = start = None
     for grid in grids:
+        if h is not None and _tail_ratio(h) > POLISH_TAIL_LIMIT:
+            return None
         f = params.f
         if grid is not f.grid:
             f = restrict(f, grid)
@@ -283,7 +379,7 @@ def _sequenced(params: ProblemParams, cfg: SolverConfig, trace: list,
             else:
                 start = resample(PeriodicSamples(h, coarse), grid).values
                 h, _, curv, res_sup = _newton_stage(*_derivatives(start, grid), f.values,
-                                                    p, q, cfg, grid, trace, 1.0)
+                                                    p, q, cfg, grid, trace, 1.0, polish)
         except (StagnationError, SingularJacobianError):
             res_sup = np.inf
         if start is not None:  # _continuation records its own stages
@@ -326,7 +422,7 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
     if q == p:
         raise ParameterRangeError("q = p is outside the solvable family")
     grid = f.grid
-    trace, stages, levels = [], [], []
+    trace, stages, levels, krylov = [], [], [], []
     level_gap = None
     if initial is not None:
         if initial.grid.n_points != grid.n_points:
@@ -336,7 +432,7 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
         stages.append(len(trace))
         levels.append((grid.n_points, len(trace)))
     else:
-        sequenced = _sequenced(params, cfg, trace, stages, levels)
+        sequenced = _sequenced(params, cfg, trace, stages, levels, krylov)
         if sequenced is None:
             before = len(trace)
             h, _, curv, res_sup = _continuation(f, p, q, cfg, 1.0, trace, stages)
@@ -355,6 +451,7 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
         levels=levels,
         tail_ratio=_tail_ratio(h),
         level_gap=level_gap,
+        krylov_iterations=sum(krylov),
     )
 
 
@@ -370,6 +467,7 @@ def report_to_dict(report: SolveReport, include_trace: bool = False) -> dict:
         "levels": [list(level) for level in report.levels],
         "tail_ratio": report.tail_ratio,
         "level_gap": report.level_gap,
+        "krylov_iterations": report.krylov_iterations,
         "h": report.body.values.tolist(),
     }
     if include_trace:

@@ -74,6 +74,17 @@ class TestSolveCommand:
                      "--f-const", "1", "--out", str(tmp_path)])
         assert code == 64
 
+    @pytest.mark.parametrize("source", ["--f-const", "--f-file"])
+    @pytest.mark.parametrize("generator", [["--f-kind", "bump"], ["--seed", "5"]])
+    def test_generator_flags_need_generated_data(self, tmp_path, capsys, source, generator):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"f": [1.0] * 64}))
+        value = "1" if source == "--f-const" else str(f)
+        code = main(["solve", "--p", "0.5", "--q", "2", "--grid", "64", source, value,
+                     *generator, "--out", str(tmp_path)])
+        assert code == 64 and f"{source} gives the data" in capsys.readouterr().err
+        assert not (tmp_path / "solution.json").exists()
+
     def test_f_file_roundtrip(self, tmp_path):
         vals = (1.0 + 0.1 * np.cos(Grid(256).theta)).tolist()
         f = tmp_path / "f.json"
@@ -206,6 +217,19 @@ class TestConfigHandling:
         assert main(flags + ["--out", str(tmp_path / "b")]) == 0
         assert ((tmp_path / "a" / "solution.json").read_bytes()
                 == (tmp_path / "b" / "solution.json").read_bytes())
+
+    def test_non_string_values_are_converted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        flags = ["solve", "--p", "0.5", "--q", "2", "--f-const", "1",
+                 "--config", str(cfg), "--out", str(tmp_path)]
+        cfg.write_text(json.dumps({"grid": 64.0}))
+        with pytest.raises(SystemExit) as exc_info:
+            main(flags)
+        assert exc_info.value.code == 64
+        assert "invalid int value: '64.0'" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"grid": 64, "lambda": 1}))
+        assert main(flags) == 0
+        assert len(json.loads((tmp_path / "solution.json").read_text())["h"]) == 64
 
     def test_key_foreign_to_subcommand(self, tmp_path):
         # solve has no --samples, and only solve reads a solver section

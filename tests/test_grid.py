@@ -161,6 +161,19 @@ class TestRestrict:
         back = restrict(resample(s, Grid(512)), c)
         assert np.max(np.abs(back.values - s.values)) < 1e-12
 
+    @pytest.mark.parametrize("n", [256, 384, 512])
+    def test_fft_prolongation(self, rng, n):
+        # full-spectrum samples, Nyquist mode included: zero-padding must
+        # agree with the interpolant at the fine nodes and restrict back
+        c, g = Grid(n), Grid(2 * n)
+        s = PeriodicSamples(rng.standard_normal(n) + 2.0, c)
+        up = resample(s, g)
+        ref = trig_eval(s, g.theta)
+        assert np.max(np.abs(up.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(up.values[::2] - s.values)) <= 1e-12 * np.max(np.abs(ref))
+        back = restrict(up, c)
+        assert np.max(np.abs(back.values - s.values)) <= 1e-14 * np.max(np.abs(s.values))
+
     def test_rejects_finer_grid(self):
         with pytest.raises(ValueError, match="finer"):
             restrict(PeriodicSamples(np.ones(64), Grid(64)), Grid(128))

@@ -24,7 +24,8 @@ from s1mk import (
     solve,
     solver,
 )
-from s1mk.grid import restrict
+from s1mk.grid import resample, restrict
+from s1mk.measures import lp_dual_kernel
 
 
 def _params(p, q, grid, seed=0, lam=2.0, kind="trig"):
@@ -131,6 +132,25 @@ class TestJacobian:
               - residual(minus, params).values) / (2 * eps)
         ref = jac @ v
         assert np.max(np.abs(fd - ref)) / np.max(np.abs(ref)) <= 1e-5
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_fft_product_matches_dense(self, p, q):
+        import s1mk
+        grid = Grid(512)
+        body = s1mk.random_convex_body(np.random.default_rng(13), grid)
+        params = _params(p, q, grid)
+        coef = solver._jacobian_coefficients(body.values, body.derivative.values,
+                                             body.curvature.values, p, q)
+        assert (coef[1] is None) == (q == 2.0)
+        product = solver._fft_jacobian(*coef)
+        jac = jacobian(body, params)
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            v = rng.standard_normal(512)
+            ref = jac @ v
+            err = np.max(np.abs(product(v) - ref)) / np.max(np.abs(ref))
+            assert err <= 1e-12, (p, q, err)
 
 
 class TestSpectrum:
@@ -290,6 +310,13 @@ class TestReport:
         assert d["levels"] == [[256, d["iterations"]]] and d["level_gap"] is None
         assert len(d["h"]) == 256
 
+    def test_krylov_iterations(self, grid256):
+        # only the polish levels of a sequenced solve run GMRES
+        assert report_to_dict(solve(_params(0.5, 2.0, grid256)))["krylov_iterations"] == 0
+        rep = solve(_params(0.5, 3.0, Grid(512), seed=1, kind="bump"))
+        assert rep.levels[-1][1] >= 1
+        assert report_to_dict(rep)["krylov_iterations"] == rep.krylov_iterations > 0
+
     def test_trace_toggle(self, grid256):
         rep = solve(_params(0.5, 2.0, grid256))
         d = report_to_dict(rep, include_trace=True)
@@ -353,15 +380,16 @@ class TestSequencing:
         real = solver._newton_stage
         polished = []
 
-        def failing_polish(h, hp, curv, f, p, q, cfg, grid, trace, t_label):
+        def failing_polish(h, hp, curv, f, p, q, cfg, grid, trace, t_label,
+                           linear_solve=solver._dense_step):
             if grid.n_points < 512 or polished:
-                return real(h, hp, curv, f, p, q, cfg, grid, trace, t_label)
+                return real(h, hp, curv, f, p, q, cfg, grid, trace, t_label, linear_solve)
             # one polish step, then the fine level gives up: it raises, or
             # reports a residual above the tolerance
             polished.append(grid)
             *state, _ = real(h, hp, curv, f, p, q,
                              SolverConfig(newton_tol=1e-17, max_newton=1), grid, trace,
-                             t_label)
+                             t_label, linear_solve)
             if how == "raises":
                 raise StagnationError("forced", trace=trace)
             return (*state, 2.0 * cfg.newton_tol)
@@ -377,6 +405,47 @@ class TestSequencing:
         assert rep.trace[:coarse.iterations] == coarse.trace
         assert rep.trace[abandoned:] == fine_trace
         assert rep.iterations == len(rep.trace) == sum(rep.stage_iterations)
+        assert np.array_equal(rep.body.values, h_fine)
+
+    def test_gmres_miss_falls_back(self, monkeypatch):
+        # GMRES cut to three iterations misses its tolerance; the polish
+        # raises, naming the count and the residual reached, and solve
+        # falls back to the full grid
+        params = _params(0.5, 3.0, Grid(512), seed=1, kind="bump")
+        real = solver.gmres
+
+        def short_gmres(op, b, **kw):
+            return real(op, b, **{**kw, "restart": 3, "maxiter": 1})
+
+        monkeypatch.setattr(solver, "gmres", short_gmres)
+        fine = Grid(512)
+        coarse = solve(ProblemParams(0.5, 3.0, restrict(params.f, Grid(256))))
+        start = solver._derivatives(resample(coarse.body.h, fine).values, fine)
+        r = lp_dual_kernel(*start, 0.5, 3.0) - params.f.values
+        counts = []
+        with pytest.raises(SingularJacobianError,
+                           match=r"GMRES reached relative residual \d\.\d\de-\d\d"
+                                 r" after 3 iterations"):
+            solver._krylov_step(*start, r, 0.5, 3.0, fine, counts)
+        assert counts == [3]
+        rep = solve(params)
+        monkeypatch.undo()
+        h_fine, fine_trace, _, _ = _continued(params)
+        assert rep.converged and rep.level_gap is None and rep.krylov_iterations == 3
+        assert rep.levels == [(256, coarse.iterations), (512, 0), (512, len(fine_trace))]
+        assert np.array_equal(rep.body.values, h_fine)
+
+    def test_under_resolved_coarse_answer_is_not_polished(self):
+        # lambda = 5 trig data at (0.5, 2): the n = 256 answer has a tail
+        # ratio near 3e-5, from which the n = 512 polish fails, so solve
+        # goes from the coarse level straight to the full grid
+        params = _params(0.5, 2.0, Grid(512), seed=4, lam=5.0)
+        coarse = solve(ProblemParams(0.5, 2.0, restrict(params.f, Grid(256))))
+        assert coarse.tail_ratio > solver.POLISH_TAIL_LIMIT
+        rep = solve(params)
+        h_fine, fine_trace, _, _ = _continued(params)
+        assert rep.converged and rep.level_gap is None and rep.krylov_iterations == 0
+        assert rep.levels == [(256, coarse.iterations), (512, len(fine_trace))]
         assert np.array_equal(rep.body.values, h_fine)
 
     def test_nonpositive_restricted_data_skip_the_sequence(self):
