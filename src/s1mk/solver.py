@@ -59,8 +59,8 @@ COARSE_N = 256
 # Smallest line-search damping before a Newton stage gives up.
 DAMPING_MIN = 1e-4
 # GMRES on the polish levels: relative residual, restart length and restart
-# cycles, so at most 120 iterations.  A prolonged start can sit within 1e2 of
-# its grid's residual floor, where a relative 1e-13 is out of reach.  On 60
+# cycles, so at most 120 iterations.  A prolonged start's residual can be as
+# small as 1e-10, where a relative 1e-13 lies below roundoff.  On 60
 # seeds of the benchmark's n = 512-1024 cases, 1e-6 took 3-31 iterations a
 # step and as many Newton steps as dense LU; an Eisenstat-Walker forcing term
 # took a third fewer iterations but 9-12% more Newton steps, in the same time.
