@@ -77,9 +77,13 @@ def _multiplier(n: int, order: int) -> np.ndarray:
 
 def diff(samples: PeriodicSamples, order: int) -> PeriodicSamples:
     """Differentiate periodic samples (order 1 or 2) by Fourier collocation."""
-    n = samples.n
-    out = np.fft.irfft(_multiplier(n, order) * np.fft.rfft(samples.values), n)
-    return PeriodicSamples(out, samples.grid)
+    return PeriodicSamples(diff_rows(samples.values, order), samples.grid)
+
+
+def diff_rows(values: np.ndarray, order: int) -> np.ndarray:
+    """``diff`` of each row of an array of samples; the last axis is the grid."""
+    n = values.shape[-1]
+    return np.fft.irfft(_multiplier(n, order) * np.fft.rfft(values), n)
 
 
 def integrate(samples: PeriodicSamples) -> float:

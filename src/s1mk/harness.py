@@ -32,7 +32,7 @@ from .errors import (
     SingularJacobianError,
     StagnationError,
 )
-from .grid import Grid, PeriodicSamples, diff
+from .grid import Grid, PeriodicSamples, diff, diff_rows
 from .john import containment_report, john, sandwich_c2, sandwich_ratio
 from .measures import (
     ProblemParams,
@@ -47,6 +47,9 @@ AGREE_TOL = 1e-6
 MAXPRINCIPLE_SLACK = 1e-6
 BATTERY_ASPECTS = (2, 5, 10, 20, 50, 100)
 BATTERY_GRID_N = 8192
+# random_convex_body's attempts, and how many it draws at once
+CANDIDATE_ATTEMPTS = 500
+CANDIDATE_BLOCK = 16
 
 
 @dataclass
@@ -117,18 +120,27 @@ def gen_f(kind: str, lam: float, seed, grid: Grid) -> PeriodicSamples:
 
 
 def random_convex_body(rng, grid: Grid, degree: int = 6) -> SupportFunction:
-    """Random trig support function, resampled until strictly convex."""
+    """Random trig support function, resampled until strictly convex.
+
+    Candidates come from the stream in blocks of ``CANDIDATE_BLOCK``, in the
+    order of one-at-a-time draws, and the first acceptable one is returned;
+    the block's unused draws are consumed from ``rng``.
+    """
     t = grid.theta
-    for _ in range(500):
-        h = np.ones_like(t)
-        for k in range(1, degree + 1):
-            a, b = rng.normal(0.0, 0.4 / k**2, size=2)
-            h += a * np.cos(k * t) + b * np.sin(k * t)
-        s = PeriodicSamples(h, grid)
-        curv = diff(s, 2).values + h
-        if float(h.min()) > 0.05 and float(curv.min()) > 0.01:
-            return from_samples(h, grid)
-    raise RuntimeError("could not draw a convex body in 500 attempts")
+    waves = [(np.cos(k * t), np.sin(k * t)) for k in range(1, degree + 1)]
+    scale = 0.4 / np.arange(1, degree + 1) ** 2
+    for start in range(0, CANDIDATE_ATTEMPTS, CANDIDATE_BLOCK):
+        count = min(CANDIDATE_BLOCK, CANDIDATE_ATTEMPTS - start)
+        coef = rng.standard_normal((count, degree, 2)) * scale[:, None]
+        h = np.ones((count, len(t)))
+        for k, (cos_k, sin_k) in enumerate(waves):
+            h += coef[:, k, :1] * cos_k + coef[:, k, 1:] * sin_k
+        h = h[h.min(axis=1) > 0.05]
+        convex = np.flatnonzero((diff_rows(h, 2) + h).min(axis=1) > 0.01)
+        if convex.size:
+            return from_samples(h[convex[0]].copy(), grid)
+    raise RuntimeError(
+        f"could not draw a convex body in {CANDIDATE_ATTEMPTS} attempts")
 
 
 def random_initial_body(rng, grid: Grid) -> SupportFunction:

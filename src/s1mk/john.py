@@ -8,15 +8,20 @@ subject to one second-order constraint per hull edge,
 
 The program is solved by a log-barrier Newton method with backtracking (five
 unknowns: the three entries of B and the center; Boyd and Vandenberghe,
-Convex Optimization, 11.3); line-search trials are evaluated by value alone,
-and the gradient and Hessian are built only at accepted points.  Each stage
-t is centered until the Newton decrement lambda has lambda^2 <= 1e-8 or
-reaches its roundoff floor, which it does from t of about 1e12 on: there a
-full step from lambda^2 < 1/16 no longer cuts lambda^2 by 4x, and the stage
-ends after that step.  A stage that
-instead runs out of ``max_inner`` steps, fails its backtracking search, or
-steps out of the domain raises ``EllipseSolveError`` with the last iterate as
-``best``; no stage is left uncentered silently.
+Convex Optimization, 11.3 and 11.6).  Edge i contributes the self-concordant
+barrier of the second-order cone, -log(r_i^2 - ||B a_i||^2) with
+r_i = b_i - <a_i, c>, whose parameter is 2, so the fit stops at the first
+stage t with 2m/t below ``gap_tol``.  Line-search trials are evaluated by
+value alone, and the gradient and Hessian are built in one pass, only at
+accepted points.  Each stage t is centered until the Newton decrement lambda
+has lambda^2 <= 1e-8 or reaches its roundoff floor, which it does from t of
+about 1e12 on: there a full step from lambda^2 < 1/16 no longer cuts
+lambda^2 by 4x, and the stage ends after that step.  A stage that instead
+runs out of ``max_inner`` steps, fails its backtracking search, or steps out
+of the domain raises ``EllipseSolveError`` with the last iterate as ``best``;
+no stage is left uncentered silently.  Between stages a predictor moves the
+centered point along the central path's tangent, extrapolated in 1/t, and
+keeps the move where the barrier at the next t is finite.
 
 Hull containment gives E inside K for free; the classical containment K
 inside 2E (dilation about the center of E) is checked a posteriori, never
@@ -86,16 +91,19 @@ def _hull_halfplanes(points: np.ndarray):
     return normals, offsets
 
 
+# Hessian of det B in the coordinates (b11, b22, b12)
+_HDET = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -2.0]])
+
+
 def _edge_constants(normals, offsets, fixed_center):
     """Per-fit arrays of the barrier that depend only on the hull edges."""
     a1, a2 = normals[:, 0], normals[:, 1]
-    u11, u22, u12 = a1 * a1, a2 * a2, a1 * a2
     return {
         "a1": a1, "a2": a2,
         # offsets - <a_i, c> when the center is pinned
         "room": None if fixed_center is None else offsets - normals @ fixed_center,
-        "grams": {(0, 0): u11, (1, 1): u22, (2, 2): u11 + u22,
-                  (0, 1): np.zeros_like(a1), (0, 2): u12, (1, 2): u12},
+        # entries u11, u22, u12 of a_i a_i^T, one row each
+        "gram": np.stack([a1 * a1, a2 * a2, a1 * a2]),
     }
 
 
@@ -112,52 +120,52 @@ def _barrier_value(x, t, normals, offsets, edges):
     w2 = b12 * a1 + b22 * a2
     s = np.sqrt(w1 * w1 + w2 * w2)
     if edges["room"] is None:
-        slack = offsets - normals @ x[3:5] - s
+        r = offsets - normals @ x[3:5]
     else:
-        slack = edges["room"] - s
+        r = edges["room"]
+    slack = r - s
     if np.min(slack) <= 0.0 or np.min(s) <= 0.0:
         return np.inf, None
 
-    phi = -t * math.log(det) - float(np.log(slack).sum())
-    return phi, (det, w1, w2, s, slack)
+    # q_i = r_i^2 - s_i^2 from the slack, which keeps its precision at large t
+    q = slack * (r + s)
+    phi = -t * math.log(det) - float(np.log(q).sum())
+    return phi, (det, w1, w2, r, q)
 
 
 def _barrier_grad_hess(x, t, edges, parts):
     """Gradient and Hessian of the barrier from ``_barrier_value``'s parts."""
     b11, b22, b12 = x[0], x[1], x[2]
-    det, w1, w2, s, slack = parts
+    det, w1, w2, r, q = parts
     a1, a2 = edges["a1"], edges["a2"]
 
-    ds1 = w1 * a1 / s
-    ds2 = w2 * a2 / s
-    ds3 = (w1 * a2 + w2 * a1) / s
+    # row j holds -1/2 the derivative of every q_i in unknown j
+    rows = [w1 * a1, w2 * a2, w1 * a2 + w2 * a1]
     if edges["room"] is None:
-        g_slack = np.column_stack([ds1, ds2, ds3, a1, a2])
-    else:
-        g_slack = np.column_stack([ds1, ds2, ds3])
+        rows += [r * a1, r * a2]
+    weight = 2.0 / q
+    scaled = np.array(rows) * weight
+    grad = scaled.sum(axis=1)
+    hess = scaled @ scaled.T
 
-    inv_slack = 1.0 / slack
-    grad = g_slack.T @ inv_slack
+    # -(Hessian of q_i) / q_i: a constant matrix per edge, over q_i
+    s11, s22, s12 = edges["gram"] @ weight
+    hess[:3, :3] += [[s11, 0.0, s12], [0.0, s22, s12], [s12, s12, s11 + s22]]
+    if edges["room"] is None:
+        hess[3:, 3:] -= [[s11, s12], [s12, s22]]
+
     mdet = np.array([b22, b11, -2.0 * b12])
-    grad[:3] += -t * mdet / det
-
-    scaled = g_slack * inv_slack[:, None]
-    hess = scaled.T @ scaled
-
-    # curvature of s(B) in the three B coordinates
-    dots = [ds1, ds2, ds3]
-    grams = edges["grams"]
-    for i in range(3):
-        for j in range(i, 3):
-            gram = grams[(i, j)]
-            block = ((gram / s - dots[i] * dots[j] / s) * inv_slack).sum()
-            hess[i, j] += block
-            if i != j:
-                hess[j, i] += block
-
-    hdet = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -2.0]])
-    hess[:3, :3] += t * (np.outer(mdet, mdet) / det**2 - hdet / det)
+    grad[:3] -= t * mdet / det
+    hess[:3, :3] += t * (np.outer(mdet, mdet) / det**2 - _HDET / det)
     return grad, hess
+
+
+def _newton_solve(hess, rhs):
+    try:
+        return np.linalg.solve(hess, rhs)
+    except np.linalg.LinAlgError:
+        ridge = 1e-12 * (1.0 + abs(np.trace(hess)))
+        return np.linalg.solve(hess + ridge * np.eye(len(rhs)), rhs)
 
 
 def _barrier_solve(normals, offsets, c_init, fixed_center=None,
@@ -177,22 +185,18 @@ def _barrier_solve(normals, offsets, c_init, fixed_center=None,
     edges = _edge_constants(normals, offsets, fixed_center)
     t = max(1.0, 0.05 * m)
     mu = 8.0
+    phi, parts = _barrier_value(x, t, normals, offsets, edges)
     while True:
-        phi, parts = _barrier_value(x, t, normals, offsets, edges)
         grad, hess = _barrier_grad_hess(x, t, edges, parts)
         prev = np.inf
         for _ in range(max_inner):
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                ridge = 1e-12 * (1.0 + abs(np.trace(hess)))
-                step = np.linalg.solve(hess + ridge * np.eye(len(x)), -grad)
+            step = _newton_solve(hess, -grad)
             lam2 = float(-grad @ step)
             if lam2 <= 1e-8:
                 # centered to lambda <= 1e-4 (or lost definiteness to roundoff)
                 break
             # Away from roundoff a full step from lambda^2 < 1/16 cuts lambda^2
-            # by 17x or more (5x is the self-concordant bound).  Less than 4x
+            # by 16x or more (5x is the self-concordant bound).  Less than 4x
             # means the O(t) gradient's roundoff now sets lambda^2: take this
             # step, which still removes the decrement the noise hides, and stop.
             at_floor = prev < 0.0625 and lam2 >= 0.25 * prev
@@ -233,11 +237,23 @@ def _barrier_solve(normals, offsets, c_init, fixed_center=None,
             raise EllipseSolveError(
                 f"stage t = {t:.3g} not centered in {max_inner} Newton steps, "
                 f"lambda^2 = {prev:.3g} still contracting", best=x.copy())
-        if m / t < gap_tol:
+        # each edge's cone barrier has parameter 2, so the gap is at most 2m/t
+        if 2 * m / t < gap_tol:
             break
+        # Predictor: on the central path H dx/dt = d, the gradient of log det B
+        # in x.  Extrapolated in 1/t from t to mu t, x moves by
+        # (1 - 1/mu) t H^-1 d; the move is kept where the barrier is finite.
+        d = np.zeros_like(x)
+        d[:3] = np.array([x[1], x[0], -2.0 * x[2]]) / (x[0] * x[1] - x[2] ** 2)
+        cand = x + (1.0 - 1.0 / mu) * t * _newton_solve(hess, d)
         t *= mu
         if t > 1e19:
             raise EllipseSolveError("barrier parameter overflow", best=x.copy())
+        phi, parts = _barrier_value(cand, t, normals, offsets, edges)
+        if np.isfinite(phi):
+            x = cand
+        else:
+            phi, parts = _barrier_value(x, t, normals, offsets, edges)
     return x
 
 

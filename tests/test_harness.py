@@ -8,6 +8,8 @@ from s1mk import (
     ExperimentConfig,
     Grid,
     ParameterRangeError,
+    PeriodicSamples,
+    diff,
     eccentric_battery,
     gen_f,
     holder_proxy,
@@ -80,6 +82,24 @@ class TestBodyGenerators:
             body = random_convex_body(np.random.default_rng(seed), grid256)
             assert float(body.values.min()) > 0.05
             assert float(body.curvature.values.min()) > 0.01
+
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    def test_random_convex_body_matches_one_at_a_time_draws(self, n):
+        # the first acceptable candidate of one-at-a-time draws, bit for bit
+        grid = Grid(n)
+        t = grid.theta
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            for _ in range(500):
+                h = np.ones_like(t)
+                for k in range(1, 7):
+                    a, b = rng.normal(0.0, 0.4 / k**2, size=2)
+                    h += a * np.cos(k * t) + b * np.sin(k * t)
+                curv = diff(PeriodicSamples(h, grid), 2).values + h
+                if float(h.min()) > 0.05 and float(curv.min()) > 0.01:
+                    break
+            body = random_convex_body(np.random.default_rng(seed), grid)
+            assert np.array_equal(body.values, h), seed
 
     def test_random_initial_body_is_valid(self, grid256):
         for seed in range(4):

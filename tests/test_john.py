@@ -210,6 +210,56 @@ class TestBarrierStopping:
         assert info.value.best is not None and info.value.best.shape == (5,)
 
 
+class TestBarrierWork:
+    # _barrier_value and _barrier_grad_hess calls for the fits of
+    # TestBarrierStopping: 2088 and 1366 with the cone barrier and the
+    # predictor, 2800 and 1626 with the earlier -log(r - |B a|) barrier
+    MAX_VALUE_CALLS = 2400
+    MAX_GRAD_HESS_CALLS = 1430
+
+    def test_barrier_calls_pinned(self, monkeypatch):
+        calls = {"_barrier_value": 0, "_barrier_grad_hess": 0}
+        for name in calls:
+            inner = getattr(JOHN_MODULE, name)
+
+            def wrapper(*args, _inner=inner, _name=name):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(JOHN_MODULE, name, wrapper)
+        g = Grid(256)
+        for seed in range(10):
+            body = s1mk.random_convex_body(np.random.default_rng(seed), g)
+            john(body)
+            john(body, center=centroid(body))
+        assert calls["_barrier_value"] <= self.MAX_VALUE_CALLS
+        assert calls["_barrier_grad_hess"] <= self.MAX_GRAD_HESS_CALLS
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    @pytest.mark.parametrize("t", [1.0, 1e3, 1e6])
+    def test_derivatives_match_central_differences(self, pinned, t):
+        body = s1mk.random_convex_body(np.random.default_rng(4), Grid(256))
+        work = s1mk.boundary_xy(body)
+        normals, offsets = JOHN_MODULE._hull_halfplanes(work)
+        fixed = centroid(body) if pinned else None
+        x = JOHN_MODULE._barrier_solve(normals, offsets, work.mean(axis=0),
+                                       fixed_center=fixed)
+        x[:3] *= 0.5  # half the fitted ellipse: off the central path
+        edges = JOHN_MODULE._edge_constants(normals, offsets, fixed)
+
+        def value(y):
+            return JOHN_MODULE._barrier_value(y, t, normals, offsets, edges)[0]
+
+        _, parts = JOHN_MODULE._barrier_value(x, t, normals, offsets, edges)
+        grad, hess = JOHN_MODULE._barrier_grad_hess(x, t, edges, parts)
+        steps = 1e-4 * np.eye(len(x))
+        grad_fd = np.array([(value(x + e) - value(x - e)) / 2e-4 for e in steps])
+        hess_fd = np.array([[(value(x + e + f) - value(x + e - f)
+                              - value(x - e + f) + value(x - e - f)) / 4e-8
+                             for f in steps] for e in steps])
+        assert np.abs(grad_fd - grad).max() <= 1e-6 * np.abs(grad).max()
+        assert np.abs(hess_fd - hess).max() <= 1e-6 * np.abs(hess).max()
+
+
 class TestSandwich:
     def test_c2_closed_forms(self):
         assert sandwich_c2(0.0, 2.0) == pytest.approx(8 * math.pi, rel=1e-15)
