@@ -22,22 +22,25 @@ by LU with a LAPACK condition estimate.
 On a grid of n >= 2 COARSE_N points without an explicit start, ``solve``
 first sequences grids (nested iteration; Knoll and Keyes, J. Comput. Phys.
 193, 2004): it halves n while the half is even and at least COARSE_N,
-restricts f to each level by Fourier truncation, solves the coarsest level
-by the policy above, and at each finer level prolongs the body by FFT
-zero-padding and polishes it with Newton to the same tolerance, measured on
-that level's grid.  The polish is Jacobian-free Newton-Krylov: GMRES (Saad
-and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) on J applied by FFTs,
-preconditioned by its constant-coefficient part.  The smooth solutions need
-far fewer modes than a large grid carries, so the fine levels take 0-2
-steps.  If a level's answer is too under-resolved to prolong, or any level
-raises or ends unconverged, the fine grid is solved by the dense policy
+restricts f to each level by Fourier truncation, solves the coarsest level,
+and at each finer level prolongs the body by FFT zero-padding and polishes
+it with Newton to the same tolerance, measured on that level's grid.  A
+coarsest level below 2 COARSE_N runs only the direct attempt, capped at
+COARSE_MAX_NEWTON steps; one of 2 COARSE_N or more runs the policy above.
+The polish is Jacobian-free Newton-Krylov: GMRES (Saad and Schultz, SIAM J.
+Sci. Stat. Comput. 7, 1986) on J applied by FFTs, preconditioned by its
+constant-coefficient part.  The smooth solutions need far fewer modes than
+a large grid carries, so the fine levels take 0-2 steps.  If a level's
+answer is too under-resolved to prolong, or any level raises or ends
+unconverged, ``solve`` drops the capped level and runs the sequence from
+the next one, and if that fails too, the fine grid by the dense policy
 above from the constant start; the abandoned steps stay in the trace.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -53,9 +56,14 @@ RCOND_LIMIT = 1e-14
 # Smallest continuation step in t.  The n = 256 robustness matrix (lambda up
 # to 20) never needs below 1/8, and the old fixed ramp stepped 1/10.
 MIN_STEP = 1.0 / 32
-# Coarsest grid of the sequenced solve.  n = 256 is the grid of every sweep,
-# so those solves are not sequenced.
-COARSE_N = 256
+# Coarsest grid of the sequenced solve: n = 256 and up do their dense Newton
+# steps at n = 128, or at 192 for n = 768.
+COARSE_N = 128
+# Newton steps of the direct attempt on a coarsest level below 2 COARSE_N,
+# which never continues.  At lambda = 2 the attempt converged in 4-7 steps in
+# 90 of 90 cases from n = 256 to 1024; an attempt that fails stops here
+# instead of running up to max_newton steps before the fallback.
+COARSE_MAX_NEWTON = 8
 # Smallest line-search damping before a Newton stage gives up.
 DAMPING_MIN = 1e-4
 # GMRES on the polish levels: relative residual, restart length and restart
@@ -74,7 +82,7 @@ KRYLOV_CYCLES = 2
 # than the dense fallback.
 POLISH_TAIL_LIMIT = 1e-5
 
-_GECON = get_lapack_funcs("gecon", (np.empty((2, 2)),))
+_GECON, _LANGE = get_lapack_funcs(("gecon", "lange"), (np.empty((2, 2)),))
 
 
 @dataclass(frozen=True)
@@ -93,7 +101,7 @@ class SolveReport:
     converged: bool
     stage_iterations: list
     trace: list
-    # (n, Newton steps) per grid level, coarse to fine, then the fallback's
+    # (n, Newton steps) per grid level, coarse to fine, then each fallback's
     levels: list
     # max_{k > n/4} |h_k| / |h_0|: near roundoff when the grid resolves h
     tail_ratio: float
@@ -144,7 +152,8 @@ def _jacobian_coefficients(h: np.ndarray, hp: np.ndarray, curv: np.ndarray,
 def _jacobian_matrix(h: np.ndarray, hp: np.ndarray, curv: np.ndarray,
                      p: float, q: float, grid: Grid) -> np.ndarray:
     a, b, c = _jacobian_coefficients(h, hp, curv, p, q)
-    mat = a[:, None] * diff_matrix(grid, 2)
+    # Fortran order, so that LAPACK factors it in place
+    mat = np.multiply(a[:, None], diff_matrix(grid, 2), order="F")
     if b is not None:
         mat += b[:, None] * diff_matrix(grid, 1)
     idx = np.arange(h.shape[0])
@@ -190,11 +199,11 @@ def linearized_spectrum(p: float, k_max: int = 16) -> LinearizedSpectrum:
 def _dense_step(h, hp, curv, r, p, q, grid: Grid) -> np.ndarray:
     """Newton step J s = -r by dense LU, checked by a LAPACK condition estimate."""
     jac = _jacobian_matrix(h, hp, curv, p, q, grid)
-    anorm = float(np.linalg.norm(jac, 1))
+    anorm = float(_LANGE("1", jac))  # no |jac| temporary, unlike np.linalg.norm
     with warnings.catch_warnings():
         # an exactly zero pivot fails the condition check below
         warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(jac)
+        lu, piv = lu_factor(jac, overwrite_a=True)
     rcond, info = _GECON(lu, anorm, norm="1")
     if info != 0 or rcond < RCOND_LIMIT:
         raise SingularJacobianError(
@@ -296,12 +305,12 @@ def _derivatives(h: np.ndarray, grid: Grid):
 
 
 def _continuation(f: PeriodicSamples, p: float, q: float, cfg: SolverConfig,
-                  step: float, trace: list, stages: list):
+                  step: float, trace: list, stages: list, min_step: float = MIN_STEP):
     """Damped Newton on the data (1 - t) mean(f) + t f, t rising from 0 to 1.
 
     Starts from mean(f)^(1/(q-p)), which solves t = 0.  A solved stage
     doubles ``step``; a failed one is retried from the last solved t with
-    half of it, until that falls below MIN_STEP and the stage's error is
+    half of it, until that falls below ``min_step`` and the stage's error is
     raised.  Steps are appended to ``trace`` and each stage's step count to
     ``stages``; both may hold earlier attempts.  Returns the final
     (h, h', h'' + h, residual sup).
@@ -332,7 +341,7 @@ def _continuation(f: PeriodicSamples, p: float, q: float, cfg: SolverConfig,
                 trace=trace,
             )
         step = 0.5 * (t - t0)
-        if step < MIN_STEP:
+        if step < min_step:
             raise err
     return (*state, res_sup)
 
@@ -345,21 +354,21 @@ def _level_grids(grid: Grid) -> list:
     return grids
 
 
-def _sequenced(params: ProblemParams, cfg: SolverConfig, trace: list,
+def _sequenced(params: ProblemParams, cfg: SolverConfig, grids: list, trace: list,
                stages: list, levels: list, krylov: list | None = None):
-    """Coarse solve, then a Newton-Krylov polish per finer grid.
+    """Coarse solve on ``grids[0]``, then a Newton-Krylov polish per finer grid.
 
-    The coarsest level runs ``_continuation`` with dense LU; each finer
-    level starts from the prolonged body and solves its Newton steps by
+    The coarsest level runs ``_continuation`` with dense LU; below 2 COARSE_N
+    points only its direct attempt, capped at COARSE_MAX_NEWTON steps.  Each
+    finer level starts from the prolonged body and solves its Newton steps by
     ``_krylov_step``, whose GMRES iteration counts go to ``krylov``.
     Returns the fine-grid (h, h'' + h, residual sup, level gap), or None if
-    the grid is too small to sequence, if a level's answer is too
+    there are fewer than two grids, if a level's answer is too
     under-resolved to prolong (tail ratio above POLISH_TAIL_LIMIT), or once
     a level raises or ends unconverged; the steps taken stay in ``trace``,
     ``stages`` and ``levels`` either way.
     """
-    grids = _level_grids(params.f.grid)
-    if len(grids) == 1:
+    if len(grids) < 2:
         return None
     p, q = params.p, params.q
     polish = partial(_krylov_step, iterations=[] if krylov is None else krylov)
@@ -368,13 +377,17 @@ def _sequenced(params: ProblemParams, cfg: SolverConfig, trace: list,
         if h is not None and _tail_ratio(h) > POLISH_TAIL_LIMIT:
             return None
         f = params.f
-        if grid is not f.grid:
+        if grid != f.grid:
             f = restrict(f, grid)
             if float(f.values.min()) <= 0.0:
                 return None
         before = len(trace)
         try:
-            if h is None:
+            if h is None and grid.n_points < 2 * COARSE_N:
+                capped = replace(cfg, max_newton=min(cfg.max_newton, COARSE_MAX_NEWTON))
+                h, _, curv, res_sup = _continuation(f, p, q, capped, 1.0, trace, stages,
+                                                    min_step=1.0)
+            elif h is None:
                 h, _, curv, res_sup = _continuation(f, p, q, cfg, 1.0, trace, stages)
             else:
                 start = resample(PeriodicSamples(h, coarse), grid).values
@@ -405,11 +418,15 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
     data are ramped from mean(f) to f in stages whose step is halved on
     failure; the trace, iterations and stage_iterations keep every attempt.
     On a grid of at least 2 COARSE_N points this policy first solves the
-    coarsest level of a grid sequence, which the finer levels polish; only
-    if a level fails does it run on the full grid.  An explicit ``initial``
-    means direct Newton from that body on the full grid with no fallback:
-    errors propagate and an unconverged run is returned with
-    ``converged=False``.
+    coarsest level of a grid sequence, which the finer levels polish.  A
+    coarsest level below 2 COARSE_N (n = 128 for n = 256, 512 and 1024, 192
+    for n = 768) runs only the direct attempt, capped at COARSE_MAX_NEWTON
+    steps.  If it fails, or a level above it does, the sequence is run again
+    from the next level up, as if the capped level did not exist; only if
+    that fails too, or there is none, does the policy run on the full grid.
+    An explicit ``initial`` means direct Newton from that body on the full
+    grid with no fallback: errors propagate and an unconverged run is
+    returned with ``converged=False``.
 
     The report's ``levels`` lists (n, Newton steps) per grid level run,
     ``tail_ratio`` is max_{k > n/4} |h_k| / |h_0| of the answer's Fourier
@@ -432,7 +449,11 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
         stages.append(len(trace))
         levels.append((grid.n_points, len(trace)))
     else:
-        sequenced = _sequenced(params, cfg, trace, stages, levels, krylov)
+        grids = _level_grids(grid)
+        sequenced = _sequenced(params, cfg, grids, trace, stages, levels, krylov)
+        if sequenced is None and grids[0].n_points < 2 * COARSE_N:
+            # the sequence from the capped level failed: run it from the next one
+            sequenced = _sequenced(params, cfg, grids[1:], trace, stages, levels, krylov)
         if sequenced is None:
             before = len(trace)
             h, _, curv, res_sup = _continuation(f, p, q, cfg, 1.0, trace, stages)

@@ -46,7 +46,7 @@ class TestSolveCommand:
                      "--seed", "1", "--grid", "512", "--out", str(tmp_path)])
         assert code == 0
         rep = json.loads((tmp_path / "solve_report.json").read_text())
-        assert [n for n, _ in rep["levels"]] == [256, 512]
+        assert [n for n, _ in rep["levels"]] == [128, 256, 512]
         assert sum(steps for _, steps in rep["levels"]) == rep["iterations"]
         assert 0.0 < rep["tail_ratio"] < 1.0 and 0.0 < rep["level_gap"] < 1e-6
 

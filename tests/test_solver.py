@@ -14,6 +14,7 @@ from s1mk import (
     SupportFunction,
     disk,
     gen_f,
+    harness,
     integrate,
     jacobian,
     linearized_spectrum,
@@ -219,11 +220,13 @@ class TestSolve:
             assert abs(total - target) / target <= 1e-10
 
     def test_direct_agrees_with_continuation(self, grid256):
+        # solved directly: every step, on both grid levels, is at t = 1
         params = _params(0.5, 2.0, grid256, seed=7)
         a = solve(params)
         h, _, stages, res_sup = _continued(params, 0.5)
         assert a.converged and res_sup <= SolverConfig().newton_tol
-        assert len(a.stage_iterations) == 1 and len(stages) == 2
+        assert [n for n, _ in a.levels] == [128, 256] and len(stages) == 2
+        assert all(entry[0] == 1.0 for entry in a.trace)
         assert np.max(np.abs(a.body.values - h)) <= 1e-9
 
     def test_quadratic_contraction(self, grid256):
@@ -269,19 +272,27 @@ class TestSolve:
         assert min(entry[0] for entry in trace) < 1.0
 
     def test_failed_direct_attempt_stays_in_trace(self, grid256):
-        # direct Newton stagnates on this data; the continuation converges
+        # direct Newton stagnates on this data, at n = 128 and at n = 256;
+        # the continuation converges.  The abandoned n = 128 steps come
+        # first, then exactly the steps and the body of the full-grid path
         params = _params(0.5, 2.0, grid256, seed=1, lam=5.0)
         start = disk(grid256, float(np.mean(params.f.values)) ** (1.0 / 1.5))
         with pytest.raises(StagnationError) as exc_info:
             solve(params, initial=start)
         failed = exc_info.value.trace
         rep = solve(params)
+        h, trace, stages, res_sup = _continued(params)
         assert rep.converged and rep.residual_sup <= 1e-10
+        k = rep.levels[0][1]
+        assert rep.levels == [(128, k), (256, len(trace))]
+        assert 0 < k <= solver.COARSE_MAX_NEWTON
+        assert all(entry[0] == 1.0 for entry in rep.trace[:k])
+        _same_report(rep, h, rep.trace[:k] + trace, [k] + stages, res_sup)
+        assert rep.level_gap is None and rep.krylov_iterations == 0
         assert failed and all(entry[0] == 1.0 for entry in failed)
-        assert rep.trace[:len(failed)] == failed
-        assert rep.stage_iterations[0] == len(failed)
+        assert trace[:len(failed)] == failed and stages[0] == len(failed)
         assert rep.iterations == len(rep.trace) == sum(rep.stage_iterations)
-        assert rep.trace[len(failed)][0] < 1.0
+        assert trace[len(failed)][0] < 1.0
 
     def test_explicit_initial_has_no_fallback(self, grid256):
         # from a start that is not the t = 0 solution an unconverged run is
@@ -307,7 +318,9 @@ class TestReport:
             assert key in d
         assert "trace" not in d
         assert d["iterations"] == sum(d["stage_iterations"])
-        assert d["levels"] == [[256, d["iterations"]]] and d["level_gap"] is None
+        assert [n for n, _ in d["levels"]] == [128, 256]
+        assert sum(steps for _, steps in d["levels"]) == d["iterations"]
+        assert d["level_gap"] == rep.level_gap < 1e-12
         assert len(d["h"]) == 256
 
     def test_krylov_iterations(self, grid256):
@@ -338,9 +351,10 @@ def _same_report(rep, h, trace, stages, res_sup):
 class TestSequencing:
     def test_levels(self):
         sizes = {n: [g.n_points for g in solver._level_grids(Grid(n))]
-                 for n in (256, 500, 512, 768, 1024, 1028, 1030)}
-        assert sizes == {256: [256], 500: [500], 512: [256, 512], 768: [384, 768],
-                         1024: [256, 512, 1024], 1028: [514, 1028], 1030: [1030]}
+                 for n in (128, 250, 256, 500, 512, 768, 1024, 1028, 1030)}
+        assert sizes == {128: [128], 250: [250], 256: [128, 256], 500: [250, 500],
+                         512: [128, 256, 512], 768: [192, 384, 768],
+                         1024: [128, 256, 512, 1024], 1028: [514, 1028], 1030: [1030]}
 
     def test_matches_fine_path(self):
         cfg = SolverConfig()
@@ -357,12 +371,12 @@ class TestSequencing:
                 gap = np.max(np.abs(rep.body.values - h_ref))
                 assert gap <= 1e-11 * np.max(h_ref), (seed, n, kind, gap)
 
-    def test_small_grid_and_explicit_initial_unchanged(self, grid256):
+    def test_small_grid_and_explicit_initial_unchanged(self):
         cfg = SolverConfig()
-        params = _params(0.5, 3.0, grid256, seed=4)
+        params = _params(0.5, 3.0, Grid(128), seed=4)
         rep = solve(params)
         _same_report(rep, *_continued(params, cfg=cfg))
-        assert rep.levels == [(256, rep.iterations)] and rep.level_gap is None
+        assert rep.levels == [(128, rep.iterations)] and rep.level_gap is None
         g = Grid(512)
         params = _params(0.5, 3.0, g, seed=4)
         start = disk(g, 1.1)
@@ -397,30 +411,42 @@ class TestSequencing:
         monkeypatch.setattr(solver, "_newton_stage", failing_polish)
         rep = solve(params)
         monkeypatch.undo()
-        coarse = solve(ProblemParams(0.5, 3.0, restrict(params.f, Grid(256))))
-        h_fine, fine_trace, _, _ = _continued(params)
-        abandoned = coarse.iterations + 1
-        assert rep.converged and rep.level_gap is None
-        assert rep.levels == [(256, coarse.iterations), (512, 1), (512, len(fine_trace))]
-        assert rep.trace[:coarse.iterations] == coarse.trace
-        assert rep.trace[abandoned:] == fine_trace
+        # the sequence from n = 128 is abandoned at n = 512; solve runs it
+        # again from n = 256, whose n = 512 polish succeeds
+        attempt = solve(ProblemParams(0.5, 3.0, restrict(params.f, Grid(128))))
+        trace, stages, levels = [], [], []
+        h_ref, _, res_sup, gap = solver._sequenced(params, SolverConfig(),
+                                                   [Grid(256), Grid(512)],
+                                                   trace, stages, levels)
+        abandoned = len(rep.trace) - len(trace)
+        assert rep.converged and rep.level_gap == gap
+        assert rep.levels[0] == (128, attempt.iterations)
+        assert [n for n, _ in rep.levels[1:3]] == [256, 512] and rep.levels[2][1] == 1
+        assert rep.levels[3:] == levels
+        assert abandoned == sum(steps for _, steps in rep.levels[:3])
+        assert rep.trace[:attempt.iterations] == attempt.trace
+        assert rep.trace[abandoned:] == trace and rep.stage_iterations[-len(stages):] == stages
         assert rep.iterations == len(rep.trace) == sum(rep.stage_iterations)
-        assert np.array_equal(rep.body.values, h_fine)
+        assert rep.residual_sup == res_sup and np.array_equal(rep.body.values, h_ref)
 
     def test_gmres_miss_falls_back(self, monkeypatch):
-        # GMRES cut to three iterations misses its tolerance; the polish
-        # raises, naming the count and the residual reached, and solve
-        # falls back to the full grid
+        # GMRES cut to three iterations misses its tolerance; each polish
+        # raises, naming the count and the residual reached, so solve falls
+        # back from the sequence from n = 128 to the one from n = 256, and
+        # from that to the full grid
         params = _params(0.5, 3.0, Grid(512), seed=1, kind="bump")
+        fine = Grid(512)
+        attempt = solve(ProblemParams(0.5, 3.0, restrict(params.f, Grid(128))))
+        coarse_params = ProblemParams(0.5, 3.0, restrict(params.f, Grid(256)))
+        h_coarse, coarse_trace, _, _ = _continued(coarse_params)
         real = solver.gmres
 
         def short_gmres(op, b, **kw):
             return real(op, b, **{**kw, "restart": 3, "maxiter": 1})
 
         monkeypatch.setattr(solver, "gmres", short_gmres)
-        fine = Grid(512)
-        coarse = solve(ProblemParams(0.5, 3.0, restrict(params.f, Grid(256))))
-        start = solver._derivatives(resample(coarse.body.h, fine).values, fine)
+        start = solver._derivatives(
+            resample(PeriodicSamples(h_coarse, Grid(256)), fine).values, fine)
         r = lp_dual_kernel(*start, 0.5, 3.0) - params.f.values
         counts = []
         with pytest.raises(SingularJacobianError,
@@ -431,33 +457,59 @@ class TestSequencing:
         rep = solve(params)
         monkeypatch.undo()
         h_fine, fine_trace, _, _ = _continued(params)
-        assert rep.converged and rep.level_gap is None and rep.krylov_iterations == 3
-        assert rep.levels == [(256, coarse.iterations), (512, 0), (512, len(fine_trace))]
+        assert rep.converged and rep.level_gap is None and rep.krylov_iterations == 6
+        assert rep.levels == [(128, attempt.iterations), (256, 0), (256, len(coarse_trace)),
+                              (512, 0), (512, len(fine_trace))]
         assert np.array_equal(rep.body.values, h_fine)
 
     def test_under_resolved_coarse_answer_is_not_polished(self):
-        # lambda = 5 trig data at (0.5, 2): the n = 256 answer has a tail
-        # ratio near 3e-5, from which the n = 512 polish fails, so solve
-        # goes from the coarse level straight to the full grid
+        # lambda = 5 trig data at (0.5, 2): the capped n = 128 attempt does
+        # not converge, and the n = 256 answer has a tail ratio near 3e-5,
+        # from which the n = 512 polish fails, so solve goes from the n = 256
+        # level straight to the full grid
         params = _params(0.5, 2.0, Grid(512), seed=4, lam=5.0)
         coarse = solve(ProblemParams(0.5, 2.0, restrict(params.f, Grid(256))))
         assert coarse.tail_ratio > solver.POLISH_TAIL_LIMIT
+        assert coarse.levels[0] == (128, solver.COARSE_MAX_NEWTON) and len(coarse.levels) == 2
         rep = solve(params)
         h_fine, fine_trace, _, _ = _continued(params)
         assert rep.converged and rep.level_gap is None and rep.krylov_iterations == 0
-        assert rep.levels == [(256, coarse.iterations), (512, len(fine_trace))]
+        assert rep.levels == coarse.levels + [(512, len(fine_trace))]
+        # from n = 256 on; the n = 128 data are restricted from different grids
+        k = coarse.levels[0][1]
+        assert rep.trace[k:] == coarse.trace[k:] + fine_trace
         assert np.array_equal(rep.body.values, h_fine)
 
+    def test_n256_matches_fine_path(self, grid256):
+        # criterion 7's first three trig samples, then the lambda = 2 slice
+        # of the robustness matrix: each solves at n = 128 and polishes
+        cfg = SolverConfig()
+        cases = [(0.5, q, seed, "trig") for q in (2.0, 3.0)
+                 for seed in harness._spawned(0, 3)]
+        cases += [(p, q, seed, kind) for kind in ("trig", "bump", "piecewise")
+                  for p, q in ((0.5, 2.0), (0.5, 3.0), (0.0, 2.0)) for seed in range(3)]
+        for p, q, seed, kind in cases:
+            params = _params(p, q, grid256, seed, kind=kind)
+            rep = solve(params, config=cfg)
+            assert rep.converged and [n for n, _ in rep.levels] == [128, 256], (kind, p, q)
+            h_ref = _continued(params, cfg=cfg)[0]
+            gap = np.max(np.abs(rep.body.values - h_ref))
+            assert gap <= 1e-11 * np.max(h_ref), (kind, p, q, seed, gap)
+
     def test_nonpositive_restricted_data_skip_the_sequence(self):
-        # a tall one-sample spike rings below zero once truncated to n = 256
+        # a tall one-sample spike rings below zero once truncated to n = 256 or 128
         g = Grid(512)
         vals = np.full(512, 1e-3)
         vals[100] = 10.0
         params = ProblemParams(0.5, 3.0, PeriodicSamples(vals, g))
         assert restrict(params.f, Grid(256)).values.min() < 0.0
-        trace, stage_iterations, levels = [], [], []
-        rep = solver._sequenced(params, SolverConfig(), trace, stage_iterations, levels)
-        assert rep is None and trace == stage_iterations == levels == []
+        assert restrict(params.f, Grid(128)).values.min() < 0.0
+        grids = solver._level_grids(g)
+        for first in (0, 1):
+            trace, stage_iterations, levels = [], [], []
+            rep = solver._sequenced(params, SolverConfig(), grids[first:], trace,
+                                    stage_iterations, levels)
+            assert rep is None and trace == stage_iterations == levels == []
 
 
 class TestResolution:
@@ -487,12 +539,14 @@ CONTINUATION_ONLY_FAILURES = {2.0: 0, 5.0: 2, 20.0: 6}
 # solutions more than 1e-8 apart (relative); (0.5, 2) solutions need not be
 # unique this far from constant data.
 KNOWN_DISAGREEMENTS = 2
+# Cases of the matrix solved directly, which the disagreement check covers.
+DIRECT_CASES = 62
 
 
 def test_robustness_matrix(grid256):
     """Data kind x (p, q) x seed x lambda at n = 256; never shrink or re-seed."""
     failures = {lam: [] for lam in CONTINUATION_ONLY_FAILURES}
-    disagree = []
+    direct, disagree = [], []
     for lam in CONTINUATION_ONLY_FAILURES:
         for kind in ("trig", "bump", "piecewise"):
             for p, q in ((0.5, 2.0), (0.5, 3.0), (0.0, 2.0)):
@@ -506,16 +560,19 @@ def test_robustness_matrix(grid256):
                         continue
                     if not rep.converged:
                         failures[lam].append(case)
-                    elif len(rep.stage_iterations) == 1:
-                        # solved directly: would the fallback reach the same body?
+                    elif all(entry[0] == 1.0 for entry in rep.trace):
+                        # solved directly, on every grid level: would the
+                        # continuation reach the same body?
+                        direct.append(case)
                         h, h_ref = rep.body.values, _continued(params, 0.5)[0]
                         gap = float(np.max(np.abs(h - h_ref)) / np.max(h_ref))
                         if gap > 1e-8:
                             disagree.append((case, gap))
     print("robustness matrix failures:", failures)
-    print("direct/continuation disagreements:", disagree)
+    print("direct/continuation disagreements:", disagree, "of", len(direct), "checked")
     for lam, limit in CONTINUATION_ONLY_FAILURES.items():
         assert len(failures[lam]) <= limit, (lam, failures[lam])
+    assert len(direct) >= DIRECT_CASES, len(direct)
     assert len(disagree) <= KNOWN_DISAGREEMENTS, disagree
 
 
