@@ -23,7 +23,10 @@ from .errors import (
 )
 from .grid import Grid, PeriodicSamples, diff, integrate, resample, trig_eval
 
-DEFAULT_TOL_CONVEX_SCALE = 1e-9
+
+def convexity_tol(values: np.ndarray) -> float:
+    """Default allowance for negative curvature density, 1e-9 max h."""
+    return 1e-9 * max(float(values.max()), 1e-300)
 
 
 class SupportFunction:
@@ -32,9 +35,8 @@ class SupportFunction:
     def __init__(self, samples: PeriodicSamples, tol_convex: float | None = None,
                  validate: bool = True):
         self.h = samples
-        hmax = float(np.max(samples.values)) if samples.n else 0.0
         if tol_convex is None:
-            tol_convex = DEFAULT_TOL_CONVEX_SCALE * max(hmax, 1e-300)
+            tol_convex = convexity_tol(samples.values)
         self.tol_convex = float(tol_convex)
         self._hp = None
         self._curv = None
@@ -111,15 +113,15 @@ def rho_at_normal(body: SupportFunction) -> PeriodicSamples:
     return PeriodicSamples(np.sqrt(h * h + hp * hp), body.grid)
 
 
-def radial(body: SupportFunction, out_grid: Grid | None = None,
-           tol: float = 1e-10) -> PeriodicSamples:
+def radial(body: SupportFunction, out_grid: Grid | None = None) -> PeriodicSamples:
     """Radial function rho(xi) > 0 of the body at the angles of ``out_grid``.
 
     For each direction the coarse minimum of h(u)/<u, xi> over grid normals is
     refined by bisection on the boundary parametrization: the offset
     psi(t) = h sin(t - a) + h' cos(t - a) is monotone in t on the forward half
-    circle (its derivative is (h'' + h) cos(t - a)), and its zero is the normal
-    angle of the boundary point on the ray with direction angle a.
+    circle (its derivative is (h'' + h) cos(t - a)), and its zero, bracketed
+    to 1e-10, is the normal angle of the boundary point on the ray with
+    direction angle a.
     """
     if out_grid is None:
         out_grid = body.grid
@@ -159,7 +161,7 @@ def radial(body: SupportFunction, out_grid: Grid | None = None,
     bad = f_hi < 0.0
     hi[bad] += spacing
 
-    n_iter = int(np.ceil(np.log2(2.0 * spacing / tol))) + 1
+    n_iter = int(np.ceil(np.log2(2.0 * spacing / 1e-10))) + 1
     for _ in range(n_iter):
         mid = 0.5 * (lo + hi)
         f_mid = offset(mid)

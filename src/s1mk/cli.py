@@ -24,7 +24,7 @@ from .body import (
     to_json,
 )
 from .errors import EllipseSolveError, SingularJacobianError, StagnationError
-from .grid import Grid, PeriodicSamples, diff, resample
+from .grid import Grid, PeriodicSamples, resample
 from .harness import (
     ExperimentConfig,
     gen_f,
@@ -265,7 +265,7 @@ def cmd_measures(args) -> int:
     surf = surface_density(body)
     lp = lp_surface_density(body, p)
     dual = lp_dual_density(body, p, q)
-    hp = diff(PeriodicSamples(body.values, body.grid), 1).values
+    hp = body.derivative.values
 
     out = Path(args.out)
     write_csv(out / "density.csv",

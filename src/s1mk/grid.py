@@ -92,16 +92,13 @@ def integrate(samples: PeriodicSamples) -> float:
 
 
 @lru_cache(maxsize=32)
-def _diff_matrix_cached(n: int, order: int) -> np.ndarray:
+def diff_matrix(grid: Grid, order: int) -> np.ndarray:
+    """Dense differentiation matrix D with (D @ v) == diff(v, order)."""
+    n = grid.n_points
     mult = _multiplier(n, order)
     mat = np.fft.irfft(mult[:, None] * np.fft.rfft(np.eye(n), axis=0), n, axis=0)
     mat.setflags(write=False)
     return mat
-
-
-def diff_matrix(grid: Grid, order: int) -> np.ndarray:
-    """Dense differentiation matrix D with (D @ v) == diff(v, order)."""
-    return _diff_matrix_cached(grid.n_points, order)
 
 
 def trig_eval(samples: PeriodicSamples, theta: np.ndarray) -> np.ndarray:

@@ -47,7 +47,8 @@ AGREE_TOL = 1e-6
 MAXPRINCIPLE_SLACK = 1e-6
 BATTERY_ASPECTS = (2, 5, 10, 20, 50, 100)
 BATTERY_GRID_N = 8192
-# random_convex_body's attempts, and how many it draws at once
+# random_convex_body's trig degree, its attempts, and how many it draws at once
+BODY_DEGREE = 6
 CANDIDATE_ATTEMPTS = 500
 CANDIDATE_BLOCK = 16
 
@@ -119,7 +120,7 @@ def gen_f(kind: str, lam: float, seed, grid: Grid) -> PeriodicSamples:
     return PeriodicSamples(vals, grid)
 
 
-def random_convex_body(rng, grid: Grid, degree: int = 6) -> SupportFunction:
+def random_convex_body(rng, grid: Grid) -> SupportFunction:
     """Random trig support function, resampled until strictly convex.
 
     Candidates come from the stream in blocks of ``CANDIDATE_BLOCK``, in the
@@ -127,11 +128,11 @@ def random_convex_body(rng, grid: Grid, degree: int = 6) -> SupportFunction:
     the block's unused draws are consumed from ``rng``.
     """
     t = grid.theta
-    waves = [(np.cos(k * t), np.sin(k * t)) for k in range(1, degree + 1)]
-    scale = 0.4 / np.arange(1, degree + 1) ** 2
+    waves = [(np.cos(k * t), np.sin(k * t)) for k in range(1, BODY_DEGREE + 1)]
+    scale = 0.4 / np.arange(1, BODY_DEGREE + 1) ** 2
     for start in range(0, CANDIDATE_ATTEMPTS, CANDIDATE_BLOCK):
         count = min(CANDIDATE_BLOCK, CANDIDATE_ATTEMPTS - start)
-        coef = rng.standard_normal((count, degree, 2)) * scale[:, None]
+        coef = rng.standard_normal((count, BODY_DEGREE, 2)) * scale[:, None]
         h = np.ones((count, len(t)))
         for k, (cos_k, sin_k) in enumerate(waves):
             h += coef[:, k, :1] * cos_k + coef[:, k, 1:] * sin_k
@@ -157,11 +158,10 @@ def random_initial_body(rng, grid: Grid) -> SupportFunction:
     return from_samples(const + gamma * osc, grid)
 
 
-def eccentric_battery(n_points: int = BATTERY_GRID_N,
-                      aspects=BATTERY_ASPECTS) -> list:
+def eccentric_battery() -> list:
     """Deterministic axis-aligned ellipses with aspect ratio up to 100."""
-    grid = Grid(n_points)
-    return [(f"ellipse-{a}", ellipse_body(grid, 1.0, 1.0 / a)) for a in aspects]
+    grid = Grid(BATTERY_GRID_N)
+    return [(f"ellipse-{a}", ellipse_body(grid, 1.0, 1.0 / a)) for a in BATTERY_ASPECTS]
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +219,14 @@ def _write_summary(cfg: ExperimentConfig, kind: str, fields: dict) -> dict:
 # sweeps
 
 
+def _john_pair(body: SupportFunction):
+    """The free and then the centroid-pinned John fit of body."""
+    return john(body), john(body, center=centroid(body))
+
+
 @lru_cache(maxsize=64)
-def _battery_john(aspect: int, n_points: int, centered: bool):
-    body = ellipse_body(Grid(n_points), 1.0, 1.0 / aspect)
-    if centered:
-        return john(body, center=centroid(body))
-    return john(body)
+def _battery_john(aspect: int):
+    return _john_pair(ellipse_body(Grid(BATTERY_GRID_N), 1.0, 1.0 / aspect))
 
 
 def run_sandwich(cfg: ExperimentConfig) -> dict:
@@ -234,55 +236,42 @@ def run_sandwich(cfg: ExperimentConfig) -> dict:
     if cfg.q < 2.0:
         raise ParameterRangeError(f"sandwich sweep needs q >= 2, got {cfg.q}")
     grid = Grid(cfg.n_points)
-    seeds = _spawned(cfg.seed, cfg.n_samples)
-
-    def measured(name, kind, body, fit):
-        try:
-            ell, ell_c = fit()
-        except EllipseSolveError:
-            return (name, kind, None, None, None, None)
-        rep = sandwich_ratio(body, cfg.p, cfg.q, ellipse=ell)
-        factor = containment_report(body, ell_c)["containment_factor"]
-        return (name, kind, rep, ell, ell_c, factor)
-
-    def one(i, seed):
-        body = random_convex_body(np.random.default_rng(seed), grid)
-        return measured(f"s{i:03d}", "random-trig", body,
-                        lambda: (john(body), john(body, center=centroid(body))))
-
-    results = [one(i, seed) for i, seed in enumerate(seeds)]
-    for name, body in eccentric_battery():
-        aspect = int(name.split("-")[1])
-        results.append(measured(name, "ellipse", body,
-                                lambda: (_battery_john(aspect, BATTERY_GRID_N, False),
-                                         _battery_john(aspect, BATTERY_GRID_N, True))))
+    # (id, kind, body, battery aspect or None)
+    items = [(f"s{i:03d}", "random-trig",
+              random_convex_body(np.random.default_rng(seed), grid), None)
+             for i, seed in enumerate(_spawned(cfg.seed, cfg.n_samples))]
+    items += [(name, "ellipse", body, aspect)
+              for aspect, (name, body) in zip(BATTERY_ASPECTS, eccentric_battery())]
 
     header = ["id", "body_kind", "r1", "r2", "eccentricity", "total_measure",
               "ratio", "c2", "upper_ok", "lower_ok", "r1_centroid", "r2_centroid",
               "containment_centroid", "converged"]
-    rows = []
-    for name, kind, rep, ell, ell_c, factor in results:
-        if rep is None:
+    rows, reports, factors = [], [], []
+    for name, kind, body, aspect in items:
+        try:
+            ell, ell_c = _john_pair(body) if aspect is None else _battery_john(aspect)
+        except EllipseSolveError:
             rows.append([name, kind] + [None] * 11 + [False])
             continue
+        rep = sandwich_ratio(body, cfg.p, cfg.q, ellipse=ell)
+        factor = containment_report(body, ell_c)["containment_factor"]
+        reports.append(rep)
+        factors.append(factor)
         rows.append([name, kind, rep.r1, rep.r2, rep.r1 / rep.r2, rep.total,
                      rep.ratio, rep.c2, rep.upper_ok, rep.lower_ok,
                      ell_c.r1, ell_c.r2, factor, True])
 
     csv_path = Path(cfg.out_dir) / "sandwich.csv"
     write_csv(csv_path, header, rows)
-    fitted = [r for r in results if r[2] is not None]
-    ratios = [rep.ratio for _, _, rep, _, _, _ in fitted]
+    ratios = [rep.ratio for rep in reports]
     return {"csv": str(csv_path), **_write_summary(cfg, "sandwich", {
         "n_rows": len(rows),
-        "n_converged": len(fitted),
+        "n_converged": len(reports),
         "c2": sandwich_c2(cfg.p, cfg.q),
         "ratio_min": min(ratios, default=None),
         "ratio_max": max(ratios, default=None),
-        "upper_violations": sum(0 if rep.upper_ok else 1
-                                for _, _, rep, _, _, _ in fitted),
-        "lower_floor_observed": min(ratios, default=None),
-        "containment_centroid_max": max((r[5] for r in fitted), default=None),
+        "upper_violations": sum(0 if rep.upper_ok else 1 for rep in reports),
+        "containment_centroid_max": max(factors, default=None),
     })}
 
 
@@ -293,31 +282,20 @@ def run_diameter(cfg: ExperimentConfig) -> dict:
     if cfg.q < 2.0:
         raise ParameterRangeError(f"diameter sweep needs q >= 2, got {cfg.q}")
     grid = Grid(cfg.n_points)
-    seeds = _spawned(cfg.seed, cfg.n_samples)
-
-    def one(i, seed):
-        f = gen_f(cfg.f_kind, cfg.lam, seed, grid)
-        params = ProblemParams(cfg.p, cfg.q, f, lam=cfg.lam)
-        dev = float(np.max(np.abs(f.values - 1.0)))
-        try:
-            rep = solve(params)
-        except (StagnationError, SingularJacobianError):
-            return (f"s{i:03d}", dev, False, None)
-        return (f"s{i:03d}", dev, rep.converged, rep)
-
-    results = [one(i, seed) for i, seed in enumerate(seeds)]
 
     header = ["id", "f_dev_inf", "lam", "converged", "max_h", "diameter",
               "eccentricity", "total_measure", "residual_sup"]
     rows = []
     max_h_all = []
-    for name, dev, ok, rep in results:
-        ell = None
-        if ok:
-            try:
-                ell = john(rep.body)
-            except EllipseSolveError:
-                pass
+    for i, seed in enumerate(_spawned(cfg.seed, cfg.n_samples)):
+        name = f"s{i:03d}"
+        f = gen_f(cfg.f_kind, cfg.lam, seed, grid)
+        dev = float(np.max(np.abs(f.values - 1.0)))
+        try:
+            rep = solve(ProblemParams(cfg.p, cfg.q, f, lam=cfg.lam))
+            ell = john(rep.body) if rep.converged else None
+        except (StagnationError, SingularJacobianError, EllipseSolveError):
+            ell = None
         if ell is None:
             rows.append([name, dev, cfg.lam, False, None, None, None, None, None])
             continue
@@ -335,23 +313,22 @@ def run_diameter(cfg: ExperimentConfig) -> dict:
 
     csv_path = Path(cfg.out_dir) / "diameter.csv"
     write_csv(csv_path, header, rows)
-    n_conv = sum(1 for row in rows if row[3])
     return {"csv": str(csv_path), **_write_summary(cfg, "diameter", {
         "lambda": cfg.lam,
-        "n_converged": n_conv,
+        "n_converged": len(max_h_all),
         "empirical_max_h": max(max_h_all) if max_h_all else None,
         "baseline_max_h": baseline_max,
     })}
 
 
-def holder_proxy(deviation: np.ndarray, grid: Grid, alpha: float = 0.5) -> float:
-    """Sup norm plus the grid Holder quotient of exponent alpha."""
+def holder_proxy(deviation: np.ndarray, grid: Grid) -> float:
+    """Sup norm plus the grid Holder quotient of exponent 1/2."""
     sup = float(np.max(np.abs(deviation)))
     t = grid.theta
     d = np.abs(t[:, None] - t[None, :])
     d = np.minimum(d, 2.0 * np.pi - d)
     np.fill_diagonal(d, 1.0)
-    quo = np.abs(deviation[:, None] - deviation[None, :]) / d**alpha
+    quo = np.abs(deviation[:, None] - deviation[None, :]) / d**0.5
     np.fill_diagonal(quo, 0.0)
     return sup + float(np.max(quo))
 

@@ -47,7 +47,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .body import DEFAULT_TOL_CONVEX_SCALE, SupportFunction
+from .body import SupportFunction, convexity_tol
 from .errors import ParameterRangeError, SingularJacobianError, StagnationError
 from .grid import Grid, PeriodicSamples, _multiplier, diff, diff_matrix, resample, restrict
 from .measures import ProblemParams, _lp_factor, lp_dual_kernel, singular_floor
@@ -272,12 +272,9 @@ def _newton_stage(h, hp, curv, f, p, q, cfg: SolverConfig, grid: Grid,
             if ok and p >= 1.0:
                 ok = float(cand.min()) > singular_floor(cand)
             if ok:
-                s = PeriodicSamples(cand, grid)
-                cand_curv = diff(s, 2).values + cand
-                tol_c = DEFAULT_TOL_CONVEX_SCALE * max(float(cand.max()), 1e-300)
-                ok = float(cand_curv.min()) >= -tol_c
+                _, cand_hp, cand_curv = _derivatives(cand, grid)
+                ok = float(cand_curv.min()) >= -convexity_tol(cand)
             if ok:
-                cand_hp = diff(s, 1).values
                 r_cand = lp_dual_kernel(cand, cand_hp, cand_curv, p, q) - f
                 cand_l2 = float(np.linalg.norm(r_cand))
                 ok = np.isfinite(cand_l2) and cand_l2 < res_l2

@@ -9,6 +9,7 @@ from s1mk import (
     Grid,
     ParameterRangeError,
     PeriodicSamples,
+    StagnationError,
     diff,
     eccentric_battery,
     gen_f,
@@ -202,6 +203,28 @@ class TestRunDiameter:
                                seed=0, n_points=256, out_dir=str(tmp_path))
         out = run_diameter(cfg)
         rows = _rows(out["csv"])
+        assert [row["converged"] for row in rows] == ["true", "false", "true"]
+        assert all(rows[1][key] == "" for key in
+                   ("max_h", "diameter", "eccentricity", "total_measure",
+                    "residual_sup"))
+        assert out["summary"]["n_converged"] == 2
+
+    def test_failed_solve_marks_its_row(self, tmp_path, monkeypatch):
+        real = harness.solve
+        calls = []
+
+        def flaky(params):
+            calls.append(params)
+            if len(calls) == 2:  # the solve of sample s001
+                raise StagnationError("injected failure", trace=[])
+            return real(params)
+
+        monkeypatch.setattr(harness, "solve", flaky)
+        cfg = ExperimentConfig(kind="diameter", p=0.5, q=2.0, n_samples=3,
+                               seed=0, n_points=256, out_dir=str(tmp_path))
+        out = run_diameter(cfg)
+        rows = _rows(out["csv"])
+        assert [row["id"] for row in rows] == ["s000", "s001", "s002"]
         assert [row["converged"] for row in rows] == ["true", "false", "true"]
         assert all(rows[1][key] == "" for key in
                    ("max_h", "diameter", "eccentricity", "total_measure",
