@@ -212,10 +212,12 @@ class TestBarrierStopping:
 
 class TestBarrierWork:
     # _barrier_value and _barrier_grad_hess calls for the fits of
-    # TestBarrierStopping: 2088 and 1366 with the cone barrier and the
-    # predictor, 2800 and 1626 with the earlier -log(r - |B a|) barrier
-    MAX_VALUE_CALLS = 2400
-    MAX_GRAD_HESS_CALLS = 1430
+    # TestBarrierStopping: 1693 and 1270 with Cholesky steps and a predictor
+    # that halves a move leaving the domain, 2088 and 1366 with LU steps and
+    # a full-or-nothing predictor, 2800 and 1626 with the earlier
+    # -log(r - |B a|) barrier.  The pins allow under 5% above the first pair.
+    MAX_VALUE_CALLS = 1770
+    MAX_GRAD_HESS_CALLS = 1330
 
     def test_barrier_calls_pinned(self, monkeypatch):
         calls = {"_barrier_value": 0, "_barrier_grad_hess": 0}
@@ -258,6 +260,186 @@ class TestBarrierWork:
                              for f in steps] for e in steps])
         assert np.abs(grad_fd - grad).max() <= 1e-6 * np.abs(grad).max()
         assert np.abs(hess_fd - hess).max() <= 1e-6 * np.abs(hess).max()
+
+
+def _cyclic_match(ref, got):
+    """Largest entry gap between two halfplane sets, one a cyclic shift of
+    the other; inf when the edge counts differ."""
+    (n_ref, b_ref), (n_got, b_got) = ref, got
+    if len(b_ref) != len(b_got):
+        return np.inf
+    shift = int(np.argmin(np.abs(n_ref - n_got[0]).sum(axis=1)))
+    n_ref, b_ref = np.roll(n_ref, -shift, axis=0), np.roll(b_ref, -shift)
+    return max(float(np.abs(n_ref - n_got).max()),
+               float(np.abs(b_ref - b_got).max()))
+
+
+class TestHullHalfplanes:
+    @pytest.fixture
+    def hull_calls(self, monkeypatch):
+        calls = []
+        inner = JOHN_MODULE.ConvexHull
+
+        def counted(points):
+            calls.append(len(points))
+            return inner(points)
+        monkeypatch.setattr(JOHN_MODULE, "ConvexHull", counted)
+        return calls
+
+    @staticmethod
+    def _bodies():
+        for n in (256, 512):
+            for seed in range(8):
+                rng = np.random.default_rng(1000 * n + seed)
+                yield s1mk.random_convex_body(rng, Grid(n))
+        for _, body in s1mk.eccentric_battery():
+            yield body
+
+    def test_convex_order_skips_qhull_and_matches_it(self, hull_calls):
+        for body in self._bodies():
+            points = s1mk.boundary_xy(body)
+            got = JOHN_MODULE._hull_halfplanes(points)
+            assert hull_calls == []
+            # a shuffled copy is out of order, so it goes through Qhull
+            order = np.random.default_rng(len(points)).permutation(len(points))
+            ref = JOHN_MODULE._hull_halfplanes(points[order])
+            assert hull_calls == [len(points)]
+            hull_calls.clear()
+            assert len(got[1]) == len(points)
+            assert _cyclic_match(ref, got) <= 1e-15
+
+    def test_out_of_order_samples_call_qhull(self, hull_calls):
+        points = s1mk.boundary_xy(
+            s1mk.random_convex_body(np.random.default_rng(3), Grid(256)))
+        own = JOHN_MODULE._hull_halfplanes(points)
+        inward = 0.9 * 0.5 * (points[10] + points[11])   # a reflex corner
+        for bad in (np.insert(points, 10, points[10], axis=0),   # repeated
+                    np.insert(points, 11, inward, axis=0),
+                    points[::-1]):                            # clockwise
+            got = JOHN_MODULE._hull_halfplanes(bad)
+            assert hull_calls == [len(bad)]
+            hull_calls.clear()
+            assert _cyclic_match(own, got) <= 1e-15
+        # a collinear triple: Qhull keeps only the square's corners
+        square = np.array([[-1.0, -1.0], [0.0, -1.0], [1.0, -1.0],
+                           [1.0, 1.0], [-1.0, 1.0]])
+        normals, offsets = JOHN_MODULE._hull_halfplanes(square)
+        assert hull_calls == [5]
+        assert _cyclic_match((np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0],
+                                        [-1.0, 0.0]]), np.ones(4)),
+                             (normals, offsets)) <= 1e-15
+
+    def test_doubly_wound_polygon_calls_qhull(self, hull_calls):
+        # every turn is left, but the boundary goes round twice
+        ang = np.linspace(0.0, 4.0 * np.pi, 14, endpoint=False)
+        star = np.column_stack([np.cos(ang), np.sin(ang)])
+        normals, offsets = JOHN_MODULE._hull_halfplanes(star)
+        assert hull_calls == [14]
+        assert len(offsets) == 7
+
+
+class TestNewtonSolve:
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        calls = []
+        inner = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(a.copy())
+            return inner(a, b)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        return calls
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_cholesky_matches_lu_on_barrier_hessian(self, solve_calls, pinned):
+        body = s1mk.random_convex_body(np.random.default_rng(4), Grid(256))
+        work = s1mk.boundary_xy(body)
+        normals, offsets = JOHN_MODULE._hull_halfplanes(work)
+        fixed = centroid(body) if pinned else None
+        x = JOHN_MODULE._barrier_solve(normals, offsets, work.mean(axis=0),
+                                       fixed_center=fixed)
+        solve_calls.clear()
+        edges = JOHN_MODULE._edge_constants(normals, offsets, fixed)
+        for scale, t in ((0.5, 1e3), (1.0, 1e12)):
+            y = x.copy()
+            y[:3] *= scale
+            _, parts = JOHN_MODULE._barrier_value(y, t, normals, offsets, edges)
+            grad, hess = JOHN_MODULE._barrier_grad_hess(y, t, edges, parts)
+            step = JOHN_MODULE._newton_solve(hess, -grad)
+            assert solve_calls == []     # Cholesky succeeded
+            ref = np.linalg.solve(hess, -grad)
+            assert np.abs(step - ref).max() <= 1e-12 * np.abs(ref).max()
+            solve_calls.clear()
+
+    def test_indefinite_falls_back_to_lu(self, solve_calls):
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        hess = (q * np.array([3.0, 2.0, -1.0, 1.0, 0.5])) @ q.T
+        rhs = rng.standard_normal(5)
+        step = JOHN_MODULE._newton_solve(hess, rhs)
+        assert len(solve_calls) == 1
+        assert np.abs(hess @ step - rhs).max() <= 1e-12
+
+    def test_singular_takes_the_ridge(self, solve_calls):
+        hess = np.diag([1.0, 2.0, 0.0, 3.0, 4.0])
+        rhs = np.ones(5)
+        step = JOHN_MODULE._newton_solve(hess, rhs)
+        assert len(solve_calls) == 2
+        assert solve_calls[1][2, 2] > 0.0
+        assert np.all(np.isfinite(step))
+        assert step[0] == pytest.approx(1.0)
+
+
+class TestOptimality:
+    """The fit against feasible points near it, whatever path found it: each
+    random perturbation is scaled down to the largest multiple, at most 1,
+    that stays inside every hull halfplane, and none may raise log det B."""
+
+    EPS = 1e-3
+    TRIALS = 200
+
+    @staticmethod
+    def _largest_feasible(normals, offsets, b, c, d_b, d_c):
+        """Per trial, the largest s in [0, 1] with B + s dB, c + s dc inside
+        every halfplane: ||(B + s dB) a_i|| + <a_i, c + s dc> <= b_i."""
+        a1, a2 = normals[:, 0], normals[:, 1]
+
+        def feasible(s):
+            bs = b + s[:, None, None] * d_b
+            cs = c + s[:, None] * d_c
+            reach = np.hypot(bs[:, 0, :1] * a1 + bs[:, 0, 1:] * a2,
+                             bs[:, 1, :1] * a1 + bs[:, 1, 1:] * a2)
+            return (reach + cs @ normals.T <= offsets).all(axis=1)
+
+        hi = np.ones(len(d_b))
+        lo = np.where(feasible(hi), 1.0, 0.0)
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            ok = feasible(mid)
+            lo, hi = np.where(ok, mid, lo), np.where(ok, hi, mid)
+        return lo
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_no_nearby_feasible_point_beats_the_fit(self, pinned):
+        rng = np.random.default_rng(16)
+        g = Grid(256)
+        for seed in range(10):
+            body = s1mk.random_convex_body(np.random.default_rng(500 + seed), g)
+            ell = john(body, center=centroid(body) if pinned else None)
+            normals, offsets = JOHN_MODULE._hull_halfplanes(s1mk.boundary_xy(body))
+            b, c = ell.shape_matrix, ell.center
+            assert (np.linalg.norm(b @ normals.T, axis=0) + normals @ c
+                    <= offsets).all()
+            sym = rng.standard_normal((self.TRIALS, 2, 2))
+            d_b = self.EPS * 0.5 * (sym + sym.transpose(0, 2, 1))
+            d_c = (np.zeros((self.TRIALS, 2)) if pinned else
+                   self.EPS * rng.standard_normal((self.TRIALS, 2)))
+            s = self._largest_feasible(normals, offsets, b, c, d_b, d_c)
+            assert np.count_nonzero(s) > 0
+            sign, logdet = np.linalg.slogdet(b + s[:, None, None] * d_b)
+            best = math.log(ell.r1 * ell.r2)
+            assert np.all((sign <= 0) | (logdet <= best + 1e-9)), (
+                seed, float(np.max(logdet - best)))
 
 
 class TestSandwich:
