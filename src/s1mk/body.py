@@ -68,18 +68,22 @@ class SupportFunction:
     def values(self) -> np.ndarray:
         return self.h.values
 
+    def _differentiate(self):
+        # h' and h'' from one diff call, bit for bit the single-order calls
+        self._hp, hpp = diff(self.h, (1, 2))
+        self._curv = PeriodicSamples(hpp.values + self.h.values, self.grid)
+
     @property
     def derivative(self) -> PeriodicSamples:
         if self._hp is None:
-            self._hp = diff(self.h, 1)
+            self._differentiate()
         return self._hp
 
     @property
     def curvature(self) -> PeriodicSamples:
         """Curvature density h'' + h (the surface measure density)."""
         if self._curv is None:
-            hpp = diff(self.h, 2)
-            self._curv = PeriodicSamples(hpp.values + self.h.values, self.grid)
+            self._differentiate()
         return self._curv
 
 

@@ -61,29 +61,51 @@ class PeriodicSamples:
         return self.grid.theta
 
 
-def _multiplier(n: int, order: int) -> np.ndarray:
-    """Fourier multiplier of d^order/dtheta^order on the rfft modes of n samples."""
-    if order not in (1, 2):
-        raise ValueError(f"derivative order must be 1 or 2, got {order}")
-    k = np.arange(n // 2 + 1)
-    if order == 1:
-        mult = 1j * k.astype(float)
+@lru_cache(maxsize=64)
+def _multiplier(n: int, order: int | tuple) -> np.ndarray:
+    """Fourier multiplier of d^order/dtheta^order on the rfft modes of n samples.
+
+    ``order`` is 1, 2 or the pair (1, 2), whose multipliers are the rows of
+    one complex array.  The result is cached and read-only.
+    """
+    if order == (1, 2):
+        mult = np.stack([_multiplier(n, 1), _multiplier(n, 2)])
+    elif order not in (1, 2):
+        raise ValueError(f"derivative order must be 1, 2 or (1, 2), got {order}")
+    elif order == 1:
+        mult = 1j * np.arange(n // 2 + 1, dtype=float)
         # The Nyquist mode has no odd-order derivative representation on an
         # even grid; its consistent collocation value is zero.
         mult[-1] = 0.0
-        return mult
-    return -(k.astype(float) ** 2)
+    else:
+        mult = -(np.arange(n // 2 + 1, dtype=float) ** 2)
+    mult.setflags(write=False)
+    return mult
 
 
-def diff(samples: PeriodicSamples, order: int) -> PeriodicSamples:
-    """Differentiate periodic samples (order 1 or 2) by Fourier collocation."""
-    return PeriodicSamples(diff_rows(samples.values, order), samples.grid)
+def diff(samples: PeriodicSamples, order: int | tuple):
+    """Differentiate periodic samples (order 1 or 2) by Fourier collocation.
+
+    The pair ``order=(1, 2)`` returns (first, second) derivative from one rfft
+    and one two-row irfft, bit-identical to the two single-order calls.
+    """
+    rows = diff_rows(samples.values, order)
+    if order == (1, 2):
+        return PeriodicSamples(rows[0], samples.grid), PeriodicSamples(rows[1], samples.grid)
+    return PeriodicSamples(rows, samples.grid)
 
 
-def diff_rows(values: np.ndarray, order: int) -> np.ndarray:
-    """``diff`` of each row of an array of samples; the last axis is the grid."""
+def diff_rows(values: np.ndarray, order: int | tuple) -> np.ndarray:
+    """``diff`` of each row of an array of samples; the last axis is the grid.
+
+    For ``order=(1, 2)`` the derivatives of each row take a new second-to-last
+    axis of length 2, first derivative first.
+    """
     n = values.shape[-1]
-    return np.fft.irfft(_multiplier(n, order) * np.fft.rfft(values), n)
+    vh = np.fft.rfft(values)
+    if order == (1, 2):
+        vh = vh[..., None, :]
+    return np.fft.irfft(_multiplier(n, order) * vh, n)
 
 
 def integrate(samples: PeriodicSamples) -> float:
@@ -93,10 +115,18 @@ def integrate(samples: PeriodicSamples) -> float:
 
 @lru_cache(maxsize=32)
 def diff_matrix(grid: Grid, order: int) -> np.ndarray:
-    """Dense differentiation matrix D with (D @ v) == diff(v, order)."""
+    """Dense differentiation matrix D with (D @ v) == diff(v, order).
+
+    Read-only and column-major (Fortran order), the layout LAPACK factors in
+    place: the solver's Jacobian, which scales the rows of D, is then
+    assembled column-major with no strided copy.
+    """
+    if order not in (1, 2):
+        raise ValueError(f"derivative order must be 1 or 2, got {order}")
     n = grid.n_points
     mult = _multiplier(n, order)
     mat = np.fft.irfft(mult[:, None] * np.fft.rfft(np.eye(n), axis=0), n, axis=0)
+    mat = np.asfortranarray(mat)
     mat.setflags(write=False)
     return mat
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import i0
 
-from s1mk import Grid, PeriodicSamples, diff, diff_matrix, integrate, resample, trig_eval
-from s1mk.grid import restrict
+from s1mk import (Grid, PeriodicSamples, SupportFunction, diff, diff_matrix, integrate,
+                  resample, trig_eval)
+from s1mk.grid import diff_rows, restrict
 
 
 def trig_poly(grid, coeffs):
@@ -58,6 +59,25 @@ class TestDiff:
             diff(s, 3)
         with pytest.raises(ValueError):
             diff_matrix(Grid(32), 3)
+        with pytest.raises(ValueError):
+            diff_matrix(Grid(32), (1, 2))
+
+    @pytest.mark.parametrize("n", [16, 256, 8192])
+    def test_pair_is_bitwise_two_calls(self, rng, n):
+        g = Grid(n)
+        s = PeriodicSamples(rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3, size=n), g)
+        first, second = diff(s, (1, 2))
+        assert np.array_equal(first.values, diff(s, 1).values)
+        assert np.array_equal(second.values, diff(s, 2).values)
+        rows = np.stack([s.values, s.values[::-1]])
+        assert np.array_equal(diff_rows(rows, (1, 2)),
+                              np.stack([diff_rows(rows, 1), diff_rows(rows, 2)], axis=1))
+        # a body fills both caches from the pair, whichever is read first
+        for attr in ("derivative", "curvature"):
+            body = SupportFunction(s, validate=False)
+            getattr(body, attr)
+            assert np.array_equal(body.derivative.values, diff(s, 1).values)
+            assert np.array_equal(body.curvature.values, diff(s, 2).values + s.values)
 
     def test_matrix_matches_function(self, rng):
         g = Grid(64)

@@ -212,12 +212,14 @@ class TestBarrierStopping:
 
 class TestBarrierWork:
     # _barrier_value and _barrier_grad_hess calls for the fits of
-    # TestBarrierStopping: 1693 and 1270 with Cholesky steps and a predictor
-    # that halves a move leaving the domain, 2088 and 1366 with LU steps and
-    # a full-or-nothing predictor, 2800 and 1626 with the earlier
-    # -log(r - |B a|) barrier.  The pins allow under 5% above the first pair.
-    MAX_VALUE_CALLS = 1770
-    MAX_GRAD_HESS_CALLS = 1330
+    # TestBarrierStopping: 1452 and 1032 with intermediate stages centered
+    # only to lambda^2 <= 1e-3, 1693 and 1270 with every stage centered to
+    # 1e-8, Cholesky steps and a predictor that halves a move leaving the
+    # domain, 2088 and 1366 with LU steps and a full-or-nothing predictor,
+    # 2800 and 1626 with the earlier -log(r - |B a|) barrier.  The pins
+    # allow under 5% above the first pair.
+    MAX_VALUE_CALLS = 1520
+    MAX_GRAD_HESS_CALLS = 1080
 
     def test_barrier_calls_pinned(self, monkeypatch):
         calls = {"_barrier_value": 0, "_barrier_grad_hess": 0}

@@ -25,7 +25,7 @@ from s1mk import (
     solve,
     solver,
 )
-from s1mk.grid import resample, restrict
+from s1mk.grid import diff_matrix, resample, restrict
 from s1mk.measures import lp_dual_kernel
 
 
@@ -152,6 +152,66 @@ class TestJacobian:
             ref = jac @ v
             err = np.max(np.abs(product(v) - ref)) / np.max(np.abs(ref))
             assert err <= 1e-12, (p, q, err)
+
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    @pytest.mark.parametrize("n", [64, 128, 192])
+    def test_matrix_is_fortran_and_matches_rowwise_assembly(self, q, n):
+        import s1mk
+        grid = Grid(n)
+        body = s1mk.random_convex_body(np.random.default_rng(5), grid)
+        state = (body.values, body.derivative.values, body.curvature.values)
+        a, b, c = solver._jacobian_coefficients(*state, 0.5, q)
+        terms = a[:, None] * diff_matrix(grid, 2)
+        if b is not None:
+            terms = terms + b[:, None] * diff_matrix(grid, 1)
+        mat = solver._jacobian_matrix(*state, 0.5, q, grid)
+        assert mat.flags.f_contiguous
+        assert np.array_equal(mat, terms + np.diag(c))
+
+
+def _polish_system(q, n=512, seed=1):
+    """A Krylov polish system: the FFT Jacobian at a perturbed n-point
+    solution of bump data, its preconditioner, -residual and dense Jacobian."""
+    grid = Grid(n)
+    params = _params(0.5, q, grid, seed=seed, kind="bump")
+    h = solve(params).body.values * (1.0 + 0.01 * np.cos(3.0 * grid.theta))
+    state = solver._derivatives(h, grid)
+    coef = solver._jacobian_coefficients(*state, 0.5, q)
+    rhs = params.f.values - lp_dual_kernel(*state, 0.5, q)
+    body = SupportFunction(PeriodicSamples(h, grid), validate=False)
+    return (solver._fft_jacobian(*coef), solver._fft_preconditioner(*coef), rhs,
+            jacobian(body, params))
+
+
+class TestGmres:
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    def test_matches_dense_solve_and_scipy_counts(self, q, monkeypatch):
+        from scipy.sparse.linalg import LinearOperator, gmres
+        product, precondition, rhs, jac = _polish_system(q)
+        dense = np.linalg.solve(jac, rhs)
+        for rtol, agree in ((solver.KRYLOV_RTOL, 1e-4), (1e-11, 1e-8)):
+            monkeypatch.setattr(solver, "KRYLOV_RTOL", rtol)
+            counts = []
+            x = solver._gmres(product, precondition, rhs, counts)
+            assert np.linalg.norm(product(x) - rhs) <= rtol * np.linalg.norm(rhs)
+            assert np.max(np.abs(x - dense)) <= agree * np.max(np.abs(dense)), rtol
+            n = rhs.shape[0]
+            op = LinearOperator((n, n), matvec=lambda y: product(precondition(y)),
+                                dtype=float)
+            history = []
+            _, info = gmres(op, rhs, rtol=rtol, atol=0.0, restart=solver.KRYLOV_RESTART,
+                            maxiter=solver.KRYLOV_CYCLES, callback=history.append,
+                            callback_type="pr_norm")
+            assert info == 0 and counts == [len(history)] and len(history) > 1, rtol
+
+    def test_restarts_until_the_true_residual_meets_the_tolerance(self, monkeypatch):
+        product, precondition, rhs, _ = _polish_system(3.0)
+        monkeypatch.setattr(solver, "KRYLOV_RESTART", 2)
+        monkeypatch.setattr(solver, "KRYLOV_CYCLES", 50)
+        counts = []
+        x = solver._gmres(product, precondition, rhs, counts)
+        assert np.linalg.norm(product(x) - rhs) <= solver.KRYLOV_RTOL * np.linalg.norm(rhs)
+        assert counts[0] > 2 * solver.KRYLOV_RESTART
 
 
 class TestSpectrum:
@@ -430,21 +490,17 @@ class TestSequencing:
         assert rep.residual_sup == res_sup and np.array_equal(rep.body.values, h_ref)
 
     def test_gmres_miss_falls_back(self, monkeypatch):
-        # GMRES cut to three iterations misses its tolerance; each polish
-        # raises, naming the count and the residual reached, so solve falls
-        # back from the sequence from n = 128 to the one from n = 256, and
-        # from that to the full grid
+        # GMRES cut to one cycle of three iterations misses its tolerance;
+        # each polish raises, naming the count and the residual reached, so
+        # solve falls back from the sequence from n = 128 to the one from
+        # n = 256, and from that to the full grid
         params = _params(0.5, 3.0, Grid(512), seed=1, kind="bump")
         fine = Grid(512)
         attempt = solve(ProblemParams(0.5, 3.0, restrict(params.f, Grid(128))))
         coarse_params = ProblemParams(0.5, 3.0, restrict(params.f, Grid(256)))
         h_coarse, coarse_trace, _, _ = _continued(coarse_params)
-        real = solver.gmres
-
-        def short_gmres(op, b, **kw):
-            return real(op, b, **{**kw, "restart": 3, "maxiter": 1})
-
-        monkeypatch.setattr(solver, "gmres", short_gmres)
+        monkeypatch.setattr(solver, "KRYLOV_RESTART", 3)
+        monkeypatch.setattr(solver, "KRYLOV_CYCLES", 1)
         start = solver._derivatives(
             resample(PeriodicSamples(h_coarse, Grid(256)), fine).values, fine)
         r = lp_dual_kernel(*start, 0.5, 3.0) - params.f.values
