@@ -65,7 +65,6 @@ from .john import (
     containment_report,
     ellipse_from_json,
     ellipse_to_json,
-    gauge_distances,
     john,
     sandwich_c2,
     sandwich_ratio,
@@ -111,8 +110,7 @@ __all__ = [
     "random_convex_body", "random_initial_body", "run_diameter",
     "run_maxprinciple", "run_sandwich", "run_uniqueness", "run_variational",
     "Ellipse", "SandwichReport", "containment_report", "ellipse_from_json",
-    "ellipse_to_json", "gauge_distances", "john", "sandwich_c2",
-    "sandwich_ratio",
+    "ellipse_to_json", "john", "sandwich_c2", "sandwich_ratio",
     "MeasureDensity", "ProblemParams", "VariationalReport", "check_aleksandrov",
     "check_dual_variational", "check_lp_variational", "dual_volume",
     "extrapolate_to_zero", "lp_dual_density", "lp_surface_density",

@@ -140,12 +140,10 @@ def build_parser() -> tuple:
     sp.add_argument("--lambda", dest="lam", type=float)
     sp.add_argument("--samples", type=int)
     sp.add_argument("--f-kind", choices=["trig", "bump", "piecewise"])
-    sp.add_argument("--eps", type=float,
-                    help="data deviation level for the uniqueness sweep")
+    sp.add_argument("--eps", type=_float_list,
+                    help="comma separated data deviation levels (uniqueness)")
     sp.add_argument("--starts", type=int,
                     help="Newton starts per uniqueness instance")
-    sp.add_argument("--eps-sweep", type=_float_list,
-                    help="comma separated deviation levels")
     _add_common(sp, grid=True, seed=True)
     sp.set_defaults(func=cmd_sweep)
 

@@ -64,13 +64,17 @@ class ExperimentConfig:
     n_points: int = 256
     out_dir: str = "results"
     f_kind: str = "trig"
-    eps: float = 0.05
+    eps: tuple = (0.05,)        # uniqueness sweep's data deviation levels
     starts: int = 20
-    eps_sweep: tuple = ()
 
     def __post_init__(self):
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.starts < 2:
+            raise ValueError("starts must be >= 2: fewer starts cannot disagree")
+        self.eps = tuple(self.eps)
+        if not self.eps:
+            raise ValueError("eps needs at least one deviation level")
         if self.lam < 1.0:
             raise ValueError("lambda bound must be >= 1")
 
@@ -384,9 +388,8 @@ def run_uniqueness(cfg: ExperimentConfig) -> dict:
     grid = Grid(cfg.n_points)
     seeds = _spawned(cfg.seed, cfg.n_samples)
 
-    eps_values = tuple(cfg.eps_sweep) or (cfg.eps,)
     per_eps = []
-    for eps in eps_values:
+    for eps in cfg.eps:
         inst = [_uniqueness_instance(cfg, eps, seed, grid) for seed in seeds]
         per_eps.append({
             "eps": eps,
@@ -399,7 +402,7 @@ def run_uniqueness(cfg: ExperimentConfig) -> dict:
     agreeing = [blk["eps"] for blk in per_eps if blk["all_agree"]]
     return _write_summary(cfg, "uniqueness", {
         "starts": cfg.starts,
-        "eps_values": list(eps_values),
+        "eps_values": list(cfg.eps),
         "results": per_eps,
         "empirical_uniqueness_radius": max(agreeing) if agreeing else None,
     })

@@ -7,26 +7,28 @@ subject to one second-order constraint per hull edge,
     || B a_i || + <a_i, c> <= b_i        for the half-plane <a_i, x> <= b_i.
 
 The program is solved by a log-barrier Newton method with backtracking (five
-unknowns: the three entries of B and the center; Boyd and Vandenberghe,
-Convex Optimization, 11.3 and 11.6).  Edge i contributes the self-concordant
-barrier of the second-order cone, -log(r_i^2 - ||B a_i||^2) with
-r_i = b_i - <a_i, c>, whose parameter is 2, so the fit stops at the first
-stage t with 2m/t below 1e-11.  Every Newton step is solved by Cholesky and
-goes through one Armijo search with a roundoff pad; when the decrement lambda
-is below 1/4 it takes the full step on a finite barrier value alone.
-Line-search trials are evaluated by value alone, and the gradient and Hessian
-are built in one pass, only at accepted points.  The final stage is
-centered until lambda^2 <= 1e-8, the intermediate ones, which only start
-the next stage, until lambda^2 <= 1e-3; any stage ends where lambda^2 reaches
-its roundoff floor, which it does
-from t of about 1e12 on: there a full step from lambda^2 < 1/16 no longer
-cuts lambda^2 by 4x, and the stage ends after that step.  A stage that
-instead runs out of ``max_inner`` steps or fails its backtracking search
-raises ``EllipseSolveError`` with the last iterate as ``best``; no stage is
-left uncentered silently.  Between stages a predictor moves the centered
-point along the central path's tangent, extrapolated in 1/t, and keeps the
-move, or else half or a quarter of it, where the barrier at the next t is
-finite.
+unknowns: the three entries of B and the center, which a pinned fit holds
+fixed; Boyd and Vandenberghe, Convex Optimization, 11.3 and 11.6).  Both fits
+start from the disk of radius 0.4 s0 about the start center (the mean of the
+samples, or the pinned center), s0 being its least slack to a hull edge; a
+pinned center not strictly inside the hull raises ``EllipseSolveError``.
+Edge i contributes the self-concordant barrier of the second-order cone,
+-log(r_i^2 - ||B a_i||^2) with r_i = b_i - <a_i, c>, whose parameter is 2, so
+the fit stops at the first stage t with 2m/t below 1e-11.  Every Newton step
+is solved by Cholesky and goes through one Armijo search with a roundoff pad;
+when the decrement lambda is below 1/4 it takes the full step on a finite
+barrier value alone.  Line-search trials are evaluated by value alone, and
+the gradient and Hessian are built in one pass, only at accepted points.  The
+final stage is centered until lambda^2 <= 1e-8, the intermediate ones, which
+only start the next stage, until lambda^2 <= 1e-3; any stage ends where
+lambda^2 reaches its roundoff floor, which it does from t of about 1e12 on:
+there a full step from lambda^2 < 1/16 no longer cuts lambda^2 by 4x, and the
+stage ends after that step.  A stage that instead runs out of ``max_inner``
+steps or fails its backtracking search raises ``EllipseSolveError`` with the
+last iterate as ``best``; no stage is left uncentered silently.  Between
+stages a predictor moves the centered point along the central path's tangent,
+extrapolated in 1/t, and keeps the move, or else half or a quarter of it,
+where the barrier at the next t is finite.
 
 Boundary samples in strictly convex counterclockwise order, as
 ``boundary_xy`` gives them for a convex body, are their own hull; other
@@ -121,6 +123,7 @@ def _edge_constants(normals, offsets, fixed_center):
     a1, a2 = a
     return {
         "a": a,
+        "offsets": offsets,
         # offsets - <a_i, c> when the center is pinned
         "room": None if fixed_center is None else offsets - normals @ fixed_center,
         # entries u11, u22, u12 of a_i a_i^T, one row each
@@ -130,7 +133,7 @@ def _edge_constants(normals, offsets, fixed_center):
     }
 
 
-def _barrier_value(x, t, normals, offsets, edges):
+def _barrier_value(x, t, edges):
     """Barrier value at x = (b11, b22, b12[, c1, c2]) and the parts its
     derivatives reuse; (inf, None) outside the domain."""
     b11, b22, b12 = x[:3].tolist()
@@ -143,7 +146,7 @@ def _barrier_value(x, t, normals, offsets, edges):
     if r is None:
         c1, c2 = x[3:5].tolist()
         w = np.array([[b11, b12], [b12, b22], [c1, c2]]) @ edges["a"]
-        r = offsets - w[2]
+        r = edges["offsets"] - w[2]
         w = w[:2]
     else:
         w = np.array([[b11, b12], [b12, b22]]) @ edges["a"]
@@ -219,24 +222,23 @@ def _newton_solve(hess, rhs):
         return np.linalg.solve(hess + ridge * np.eye(len(rhs)), rhs)
 
 
-def _barrier_solve(normals, offsets, c_init, fixed_center=None, max_inner=80):
+def _barrier_solve(normals, offsets, center, pinned=False, max_inner=80):
+    """Barrier Newton solution x = (b11, b22, b12[, c1, c2]) of the fit inside
+    the half-planes <a_i, x> <= b_i, the center free or, with ``pinned``, held
+    at ``center``.  The start is the disk of radius 0.4 s0 about ``center``,
+    s0 its least edge slack; ``EllipseSolveError`` if s0 <= 0."""
     m = len(offsets)
-    if fixed_center is None:
-        slack0 = offsets - normals @ c_init
-        x = np.array([0.0, 0.0, 0.0, c_init[0], c_init[1]])
-    else:
-        slack0 = offsets - normals @ fixed_center
-        x = np.zeros(3)
-    s0 = float(np.min(slack0))
+    s0 = float(np.min(offsets - normals @ center))
     if s0 <= 0.0:
         raise EllipseSolveError("initial center not strictly interior")
-    x[0] = x[1] = 0.4 * s0
+    start = [0.4 * s0, 0.4 * s0, 0.0]
+    x = np.array(start if pinned else start + [center[0], center[1]])
 
-    edges = _edge_constants(normals, offsets, fixed_center)
+    edges = _edge_constants(normals, offsets, center if pinned else None)
     pad_per_phi = 32.0 * np.finfo(float).eps
     t = max(1.0, 0.05 * m)
     mu = 8.0
-    phi, parts = _barrier_value(x, t, normals, offsets, edges)
+    phi, parts = _barrier_value(x, t, edges)
     while True:
         # each edge's cone barrier has parameter 2, so the gap is at most 2m/t
         final = 2 * m / t < 1e-11
@@ -273,7 +275,7 @@ def _barrier_solve(normals, offsets, c_init, fixed_center=None, max_inner=80):
             alpha = 1.0
             for _ in range(60):
                 cand = x + alpha * step
-                phi_c, parts = _barrier_value(cand, t, normals, offsets, edges)
+                phi_c, parts = _barrier_value(cand, t, edges)
                 if (phi_c <= phi - 0.25 * alpha * lam2 + pad
                         or (alpha == 1.0 and lam2 < 0.0625 and phi_c < np.inf)):
                     x, phi = cand, phi_c
@@ -311,30 +313,23 @@ def _barrier_solve(normals, offsets, c_init, fixed_center=None, max_inner=80):
             raise EllipseSolveError("barrier parameter overflow", best=x.copy())
         for frac in (1.0, 0.5, 0.25):
             cand = x + frac * move
-            phi, parts = _barrier_value(cand, t, normals, offsets, edges)
+            phi, parts = _barrier_value(cand, t, edges)
             if phi < np.inf:
                 x = cand
                 break
         else:
-            phi, parts = _barrier_value(x, t, normals, offsets, edges)
+            phi, parts = _barrier_value(x, t, edges)
     return x
-
-
-def _extract_ellipse(x, fixed_center):
-    b = np.array([[x[0], x[2]], [x[2], x[1]]])
-    center = fixed_center if fixed_center is not None else x[3:5]
-    vals, vecs = np.linalg.eigh(b)
-    r2, r1 = float(vals[0]), float(vals[1])
-    v = vecs[:, 1]
-    angle = math.atan2(v[1], v[0]) % math.pi
-    return Ellipse(np.asarray(center, dtype=float), r1, r2, angle)
 
 
 def john(body: SupportFunction, center=None) -> Ellipse:
     """Maximal-area ellipse inscribed in the hull of the sampled boundary.
 
     With ``center`` given, only the shape is optimized (the centroid-pinned
-    variant); otherwise the center is free.
+    variant), and a center not strictly inside the hull raises
+    ``EllipseSolveError``; otherwise the center is free.  Both fits start from
+    the disk of radius 0.4 s0 about ``center`` or the mean of the samples, s0
+    being its least slack to a hull edge.
     """
     points = boundary_xy(body)
     shift = points.mean(axis=0)
@@ -342,41 +337,26 @@ def john(body: SupportFunction, center=None) -> Ellipse:
     work = (points - shift) / scale
     normals, offsets = _hull_halfplanes(work)
 
-    if center is None:
-        c_init = work.mean(axis=0)
-        x = _barrier_solve(normals, offsets, c_init, fixed_center=None)
-        ell = _extract_ellipse(x, None)
-    else:
-        fixed = (np.asarray(center, dtype=float) - shift) / scale
-        x = _barrier_solve(normals, offsets, None, fixed_center=fixed)
-        ell = _extract_ellipse(x, fixed)
-    return Ellipse(ell.center * scale + shift, ell.r1 * scale, ell.r2 * scale,
-                   ell.angle)
-
-
-def _gauge(body: SupportFunction, ellipse: Ellipse):
-    """E's gauge g of each sampled boundary point and its distance r from E's
-    center; the point lies on the dilate sE exactly when g = s."""
-    pts = boundary_xy(body) - ellipse.center
-    binv = np.linalg.inv(ellipse.shape_matrix)
-    mapped = pts @ binv.T
-    g = np.maximum(np.hypot(mapped[:, 0], mapped[:, 1]), 1e-300)
-    return g, np.hypot(pts[:, 0], pts[:, 1])
-
-
-def gauge_distances(body: SupportFunction, ellipse: Ellipse) -> np.ndarray:
-    """Signed radial distance of each sampled boundary point to the ellipse.
-
-    Negative means inside E; the units are lengths along the ray from the
-    ellipse center, so the values compare directly with body diameters.
-    """
-    g, r = _gauge(body, ellipse)
-    return (g - 1.0) * r / g
+    pinned = center is not None
+    c = (np.asarray(center, dtype=float) - shift) / scale if pinned else work.mean(axis=0)
+    x = _barrier_solve(normals, offsets, c, pinned=pinned)
+    if not pinned:
+        c = x[3:5]
+    vals, vecs = np.linalg.eigh(np.array([[x[0], x[2]], [x[2], x[1]]]))
+    v = vecs[:, 1]
+    return Ellipse(c * scale + shift, float(vals[1]) * scale, float(vals[0]) * scale,
+                   math.atan2(v[1], v[0]) % math.pi)
 
 
 def containment_report(body: SupportFunction, ellipse: Ellipse) -> dict:
-    """Certificates for E inside K (vertexwise) and K inside 2E."""
-    g, r = _gauge(body, ellipse)
+    """Certificates for E inside K (vertexwise) and K inside 2E.
+
+    A sampled boundary point at distance r from E's center has gauge g: it
+    lies on the dilate gE and is (g - s) r / g outside sE along its ray."""
+    pts = boundary_xy(body) - ellipse.center
+    mapped = pts @ np.linalg.inv(ellipse.shape_matrix).T
+    g = np.maximum(np.hypot(mapped[:, 0], mapped[:, 1]), 1e-300)
+    r = np.hypot(pts[:, 0], pts[:, 1])
     dists = (g - 1.0) * r / g
     diam = diameter(body)
     outer = (g - 2.0) * r / g

@@ -114,7 +114,7 @@ def test_criterion_05_max_principle(acceptance, tmp_path):
 
 def test_criterion_06_uniqueness_near_constants(acceptance, tmp_path):
     t0 = time.perf_counter()
-    cfg = ExperimentConfig(kind="uniqueness", p=0.5, q=2.0, eps=0.05,
+    cfg = ExperimentConfig(kind="uniqueness", p=0.5, q=2.0, eps=(0.05,),
                            starts=20, n_samples=10, seed=0, n_points=256,
                            out_dir=str(tmp_path))
     summary = run_uniqueness(cfg)["summary"]

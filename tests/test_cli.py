@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import s1mk
 from s1mk import ExperimentConfig, Grid, disk, ellipse_body, from_json, run_diameter, to_json
 from s1mk.cli import main
 
@@ -149,6 +150,13 @@ class TestJohnCommand:
         pinned = json.loads((tmp_path / "ellipse.json").read_text())
         assert pinned["center"] == pytest.approx([0.0, 0.0], abs=1e-8)
 
+    def test_center_outside_hull_is_a_solver_failure(self, tmp_path, disk_file, capsys):
+        code = main(["john", disk_file, "--center", "5,5", "--out", str(tmp_path)])
+        assert code == 3
+        assert ("solver failure: initial center not strictly interior"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "ellipse.json").exists()
+
     def test_center_flags_conflict(self, tmp_path, disk_file):
         code = main(["john", disk_file, "--centroid", "--center", "0,0",
                      "--out", str(tmp_path)])
@@ -179,6 +187,29 @@ class TestSweepCommand:
                      "--out", str(tmp_path)])
         assert code == 0
         assert "empirical_uniqueness_radius=0.05" in capsys.readouterr().out
+
+    def test_uniqueness_needs_two_starts(self, tmp_path, capsys):
+        code = main(["sweep", "uniqueness", "--p", "0.5", "--q", "2",
+                     "--samples", "2", "--starts", "0", "--grid", "64",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "starts must be >= 2" in capsys.readouterr().err
+        assert not (tmp_path / "uniqueness_summary.json").exists()
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_uniqueness_deviation_levels(self, tmp_path, from_config):
+        argv = ["sweep", "uniqueness", "--p", "0.5", "--q", "2", "--samples", "1",
+                "--starts", "2", "--grid", "128", "--out", str(tmp_path)]
+        if from_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"eps": [0.02, 0.05]}))
+            argv += ["--config", str(cfg)]
+        else:
+            argv += ["--eps", "0.02,0.05"]
+        assert main(argv) == 0
+        summary = json.loads((tmp_path / "uniqueness_summary.json").read_text())
+        assert summary["eps_values"] == [0.02, 0.05]
+        assert [blk["eps"] for blk in summary["results"]] == [0.02, 0.05]
 
     def test_defaults_are_the_experiment_config_defaults(self, tmp_path):
         code = main(["sweep", "diameter", "--p", "0.5", "--q", "2",
@@ -264,6 +295,16 @@ class TestConfigHandling:
         code = main(["solve", "--p", "0.5", "--q", "2",
                      "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 64
+
+
+class TestPackage:
+    def test_exports_resolve_once(self):
+        names = s1mk.__all__
+        assert len(names) == len(set(names))
+        assert [name for name in names if not hasattr(s1mk, name)] == []
+        namespace = {}
+        exec("from s1mk import *", namespace)
+        assert set(names) <= set(namespace)
 
 
 class TestUsage:

@@ -239,7 +239,7 @@ class TestRunDiameter:
 
 class TestRunUniqueness:
     def test_small_sweep_agrees(self, tmp_path):
-        cfg = ExperimentConfig(kind="uniqueness", p=0.5, q=2.0, eps=0.05,
+        cfg = ExperimentConfig(kind="uniqueness", p=0.5, q=2.0, eps=(0.05,),
                                starts=4, n_samples=2, n_points=256,
                                seed=0, out_dir=str(tmp_path))
         out = run_uniqueness(cfg)
@@ -281,3 +281,15 @@ class TestConfigValidation:
     def test_lambda_bound(self):
         with pytest.raises(ValueError):
             ExperimentConfig(kind="sandwich", p=0.5, q=2.0, lam=0.5)
+
+    @pytest.mark.parametrize("starts", [0, 1])
+    def test_start_count(self, starts):
+        # fewer than two starts cannot disagree, so every instance would agree
+        with pytest.raises(ValueError, match="starts must be >= 2"):
+            ExperimentConfig(kind="uniqueness", p=0.5, q=2.0, starts=starts)
+
+    def test_deviation_levels(self):
+        with pytest.raises(ValueError, match="at least one deviation level"):
+            ExperimentConfig(kind="uniqueness", p=0.5, q=2.0, eps=())
+        assert ExperimentConfig(kind="uniqueness", p=0.5, q=2.0,
+                                eps=[0.02, 0.05]).eps == (0.02, 0.05)

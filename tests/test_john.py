@@ -116,6 +116,14 @@ def _smoothed_square(n=16384, sigma=1e-3):
     return SupportFunction(PeriodicSamples(h, g), tol_convex=1e-6)
 
 
+class TestStart:
+    def test_pinned_center_outside_hull_raises(self):
+        # the start disk about the center needs a positive least edge slack
+        with pytest.raises(EllipseSolveError, match="not strictly interior") as info:
+            john(disk(Grid(256)), center=(5.0, 5.0))
+        assert info.value.best is None
+
+
 class TestNearDegenerate:
     def test_smoothed_square(self):
         body = _smoothed_square()
@@ -245,15 +253,15 @@ class TestBarrierWork:
         work = s1mk.boundary_xy(body)
         normals, offsets = JOHN_MODULE._hull_halfplanes(work)
         fixed = centroid(body) if pinned else None
-        x = JOHN_MODULE._barrier_solve(normals, offsets, work.mean(axis=0),
-                                       fixed_center=fixed)
+        x = JOHN_MODULE._barrier_solve(
+            normals, offsets, fixed if pinned else work.mean(axis=0), pinned=pinned)
         x[:3] *= 0.5  # half the fitted ellipse: off the central path
         edges = JOHN_MODULE._edge_constants(normals, offsets, fixed)
 
         def value(y):
-            return JOHN_MODULE._barrier_value(y, t, normals, offsets, edges)[0]
+            return JOHN_MODULE._barrier_value(y, t, edges)[0]
 
-        _, parts = JOHN_MODULE._barrier_value(x, t, normals, offsets, edges)
+        _, parts = JOHN_MODULE._barrier_value(x, t, edges)
         grad, hess = JOHN_MODULE._barrier_grad_hess(x, t, edges, parts)
         steps = 1e-4 * np.eye(len(x))
         grad_fd = np.array([(value(x + e) - value(x - e)) / 2e-4 for e in steps])
@@ -358,14 +366,14 @@ class TestNewtonSolve:
         work = s1mk.boundary_xy(body)
         normals, offsets = JOHN_MODULE._hull_halfplanes(work)
         fixed = centroid(body) if pinned else None
-        x = JOHN_MODULE._barrier_solve(normals, offsets, work.mean(axis=0),
-                                       fixed_center=fixed)
+        x = JOHN_MODULE._barrier_solve(
+            normals, offsets, fixed if pinned else work.mean(axis=0), pinned=pinned)
         solve_calls.clear()
         edges = JOHN_MODULE._edge_constants(normals, offsets, fixed)
         for scale, t in ((0.5, 1e3), (1.0, 1e12)):
             y = x.copy()
             y[:3] *= scale
-            _, parts = JOHN_MODULE._barrier_value(y, t, normals, offsets, edges)
+            _, parts = JOHN_MODULE._barrier_value(y, t, edges)
             grad, hess = JOHN_MODULE._barrier_grad_hess(y, t, edges, parts)
             step = JOHN_MODULE._newton_solve(hess, -grad)
             assert solve_calls == []     # Cholesky succeeded
