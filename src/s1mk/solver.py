@@ -22,23 +22,22 @@ place with a LAPACK condition estimate.  Each Newton state takes h' and h''
 from one ``diff`` call of order (1, 2).
 
 On a grid of n >= 2 COARSE_N points without an explicit start, ``solve``
-first sequences grids (nested iteration; Knoll and Keyes, J. Comput. Phys.
-193, 2004): it halves n while the half is even and at least COARSE_N,
-restricts f to each level by Fourier truncation, solves the coarsest level,
-and at each finer level prolongs the body by FFT zero-padding and polishes
-it with Newton to the same tolerance, measured on that level's grid.  A
-coarsest level below 2 COARSE_N runs only the direct attempt, capped at
-COARSE_MAX_NEWTON steps; one of 2 COARSE_N or more runs the policy above.
-The polish is Jacobian-free Newton-Krylov: GMRES (Saad and Schultz, SIAM J.
+first works on two grids (Xu, SIAM J. Numer. Anal. 33, 1996): it restricts
+f to COARSE_N points by Fourier truncation, runs there only the direct
+attempt, capped at COARSE_MAX_NEWTON steps, prolongs the body to the full
+grid by FFT zero-padding and polishes it with Newton to the same tolerance,
+measured on that grid.  The polish is Jacobian-free Newton-Krylov (Knoll
+and Keyes, J. Comput. Phys. 193, 2004): GMRES (Saad and Schultz, SIAM J.
 Sci. Stat. Comput. 7, 1986) on J applied by FFTs, preconditioned by its
 constant-coefficient part.  GMRES is written out in ``_gmres`` because
 scipy's Python ``gmres`` cost more per call and per iteration than the FFT
-products it applies.  The smooth solutions need far fewer modes than
-a large grid carries, so the fine levels take 0-2 steps.  If a level's
-answer is too under-resolved to prolong, or any level raises or ends
-unconverged, ``solve`` drops the capped level and runs the sequence from
-the next one, and if that fails too, the fine grid by the dense policy
-above from the constant start; the abandoned steps stay in the trace.
+products it applies.  The smooth solutions need far fewer modes than a
+large grid carries, so the polish usually takes 0-3 steps.  If the coarse
+answer is too under-resolved to prolong, or either level raises or ends
+unconverged, ``solve`` runs the two levels again from 2 COARSE_N points with
+the whole policy above (for n > 2 COARSE_N), and if that fails too, the full
+grid by that policy from the constant start; the abandoned steps stay in
+the trace.
 """
 
 from __future__ import annotations
@@ -60,11 +59,11 @@ RCOND_LIMIT = 1e-14
 # Smallest continuation step in t.  The n = 256 robustness matrix (lambda up
 # to 20) never needs below 1/8, and the old fixed ramp stepped 1/10.
 MIN_STEP = 1.0 / 32
-# Coarsest grid of the sequenced solve: n = 256 and up do their dense Newton
-# steps at n = 128, or at 192 for n = 768.
+# Coarse grid of the two-grid solve: n = 256 and up do their dense Newton
+# steps at n = 128, and at 256 only if that fails.
 COARSE_N = 128
-# Newton steps of the direct attempt on a coarsest level below 2 COARSE_N,
-# which never continues.  At lambda = 2 the attempt converged in 4-7 steps in
+# Newton steps of the direct attempt on the COARSE_N level, which never
+# continues.  At lambda = 2 the attempt converged in 4-7 steps in
 # 90 of 90 cases from n = 256 to 1024; an attempt that fails stops here
 # instead of running up to max_newton steps before the fallback.
 COARSE_MAX_NEWTON = 8
@@ -416,60 +415,55 @@ def _continuation(f: PeriodicSamples, p: float, q: float, cfg: SolverConfig,
 
 
 def _level_grids(grid: Grid) -> list:
-    """Grids of the sequenced solve, coarse to fine; just ``grid`` if none."""
-    grids = [grid]
-    while grids[0].n_points >= 2 * COARSE_N and grids[0].n_points % 4 == 0:
-        grids.insert(0, Grid(grids[0].n_points // 2))
-    return grids
+    """Coarse grids of the sequenced solve on ``grid``, in the order tried."""
+    n = grid.n_points
+    return [Grid(m) for m in (COARSE_N, 2 * COARSE_N) if n >= 2 * COARSE_N and n > m]
 
 
-def _sequenced(params: ProblemParams, cfg: SolverConfig, grids: list, trace: list,
+def _sequenced(params: ProblemParams, cfg: SolverConfig, coarse: Grid, trace: list,
                stages: list, levels: list, krylov: list | None = None):
-    """Coarse solve on ``grids[0]``, then a Newton-Krylov polish per finer grid.
+    """Solve on the ``coarse`` grid, then a Newton-Krylov polish on the data grid.
 
-    The coarsest level runs ``_continuation`` with dense LU; below 2 COARSE_N
-    points only its direct attempt, capped at COARSE_MAX_NEWTON steps.  Each
-    finer level starts from the prolonged body and solves its Newton steps by
-    ``_krylov_step``, whose GMRES iteration counts go to ``krylov``.
-    Returns the fine-grid (h, h'' + h, residual sup, level gap), or None if
-    there are fewer than two grids, if a level's answer is too
-    under-resolved to prolong (tail ratio above POLISH_TAIL_LIMIT), or once
-    a level raises or ends unconverged; the steps taken stay in ``trace``,
-    ``stages`` and ``levels`` either way.
+    The coarse level runs ``_continuation`` with dense LU on the data
+    restricted to it; below 2 COARSE_N points only its direct attempt,
+    capped at COARSE_MAX_NEWTON steps.  The polish starts from the body
+    prolonged by FFT and solves its Newton steps by ``_krylov_step``, whose
+    GMRES iteration counts go to ``krylov``.  Returns the fine-grid
+    (h, h'' + h, residual sup, level gap), or None if the restricted data
+    are not positive, if the coarse answer is too under-resolved to prolong
+    (tail ratio above POLISH_TAIL_LIMIT), or once a level raises or ends
+    unconverged; the steps taken stay in ``trace``, ``stages`` and
+    ``levels`` either way.
     """
-    if len(grids) < 2:
+    p, q, f = params.p, params.q, params.f
+    coarse_f = restrict(f, coarse)
+    if float(coarse_f.values.min()) <= 0.0:
         return None
-    p, q = params.p, params.q
+    coarse_cfg, min_step = cfg, MIN_STEP
+    if coarse.n_points < 2 * COARSE_N:
+        coarse_cfg = replace(cfg, max_newton=min(cfg.max_newton, COARSE_MAX_NEWTON))
+        min_step = 1.0
+    before = len(trace)
+    try:
+        h, _, _, res_sup = _continuation(coarse_f, p, q, coarse_cfg, 1.0, trace, stages,
+                                         min_step)
+    except (StagnationError, SingularJacobianError):
+        res_sup = np.inf
+    levels.append((coarse.n_points, len(trace) - before))
+    if not res_sup <= cfg.newton_tol or _tail_ratio(h) > POLISH_TAIL_LIMIT:
+        return None
+    start = resample(PeriodicSamples(h, coarse), f.grid).values
     polish = partial(_krylov_step, iterations=[] if krylov is None else krylov)
-    h = start = None
-    for grid in grids:
-        if h is not None and _tail_ratio(h) > POLISH_TAIL_LIMIT:
-            return None
-        f = params.f
-        if grid != f.grid:
-            f = restrict(f, grid)
-            if float(f.values.min()) <= 0.0:
-                return None
-        before = len(trace)
-        try:
-            if h is None and grid.n_points < 2 * COARSE_N:
-                capped = replace(cfg, max_newton=min(cfg.max_newton, COARSE_MAX_NEWTON))
-                h, _, curv, res_sup = _continuation(f, p, q, capped, 1.0, trace, stages,
-                                                    min_step=1.0)
-            elif h is None:
-                h, _, curv, res_sup = _continuation(f, p, q, cfg, 1.0, trace, stages)
-            else:
-                start = resample(PeriodicSamples(h, coarse), grid).values
-                h, _, curv, res_sup = _newton_stage(*_derivatives(start, grid), f.values,
-                                                    p, q, cfg, grid, trace, 1.0, polish)
-        except (StagnationError, SingularJacobianError):
-            res_sup = np.inf
-        if start is not None:  # _continuation records its own stages
-            stages.append(len(trace) - before)
-        levels.append((grid.n_points, len(trace) - before))
-        if not res_sup <= cfg.newton_tol:
-            return None
-        coarse = grid
+    before = len(trace)
+    try:
+        h, _, curv, res_sup = _newton_stage(*_derivatives(start, f.grid), f.values, p, q,
+                                            cfg, f.grid, trace, 1.0, polish)
+    except (StagnationError, SingularJacobianError):
+        res_sup = np.inf
+    stages.append(len(trace) - before)
+    levels.append((f.grid.n_points, stages[-1]))
+    if not res_sup <= cfg.newton_tol:
+        return None
     return h, curv, res_sup, float(np.max(np.abs(h - start)) / np.max(h))
 
 
@@ -486,13 +480,12 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
     for the constant data mean(f).  If it raises or ends unconverged, the
     data are ramped from mean(f) to f in stages whose step is halved on
     failure; the trace, iterations and stage_iterations keep every attempt.
-    On a grid of at least 2 COARSE_N points this policy first solves the
-    coarsest level of a grid sequence, which the finer levels polish.  A
-    coarsest level below 2 COARSE_N (n = 128 for n = 256, 512 and 1024, 192
-    for n = 768) runs only the direct attempt, capped at COARSE_MAX_NEWTON
-    steps.  If it fails, or a level above it does, the sequence is run again
-    from the next level up, as if the capped level did not exist; only if
-    that fails too, or there is none, does the policy run on the full grid.
+    On a grid of at least 2 COARSE_N points, ``_sequenced`` first runs the
+    direct attempt alone, capped at COARSE_MAX_NEWTON steps, on COARSE_N
+    points, and polishes its answer on the full grid.  If either level
+    fails, it runs again from 2 COARSE_N points with this policy, if the
+    grid is finer than that; only if that fails too, or is not tried, does
+    the policy run on the full grid.
     An explicit ``initial`` means direct Newton from that body on the full
     grid with no fallback: errors propagate and an unconverged run is
     returned with ``converged=False``.
@@ -500,8 +493,8 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
     The report's ``levels`` lists (n, Newton steps) per grid level run,
     ``tail_ratio`` is max_{k > n/4} |h_k| / |h_0| of the answer's Fourier
     coefficients, a resolution test as in Chebfun's chopping rule, and
-    ``level_gap`` is max |h - prolonged coarser level| / max h when the
-    answer came from the sequence.
+    ``level_gap`` is max |h - prolonged coarse answer| / max h when the
+    answer came from a polish.
     """
     cfg = config or SolverConfig()
     p, q, f = params.p, params.q, params.f
@@ -518,11 +511,11 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
         stages.append(len(trace))
         levels.append((grid.n_points, len(trace)))
     else:
-        grids = _level_grids(grid)
-        sequenced = _sequenced(params, cfg, grids, trace, stages, levels, krylov)
-        if sequenced is None and grids[0].n_points < 2 * COARSE_N:
-            # the sequence from the capped level failed: run it from the next one
-            sequenced = _sequenced(params, cfg, grids[1:], trace, stages, levels, krylov)
+        sequenced = None
+        for coarse in _level_grids(grid):
+            sequenced = _sequenced(params, cfg, coarse, trace, stages, levels, krylov)
+            if sequenced is not None:
+                break
         if sequenced is None:
             before = len(trace)
             h, _, curv, res_sup = _continuation(f, p, q, cfg, 1.0, trace, stages)

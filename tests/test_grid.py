@@ -194,6 +194,19 @@ class TestRestrict:
         back = restrict(up, c)
         assert np.max(np.abs(back.values - s.values)) <= 1e-14 * np.max(np.abs(s.values))
 
+    @pytest.mark.parametrize("m", [384, 768, 1030])
+    def test_prolongation_from_coarse_level(self, rng, m):
+        # the solver's coarse level n = 128 to fine grids it does not divide
+        # by a power of two: restriction undoes prolongation, Nyquist mode
+        # included, and a polynomial of degree 63 < 128 / 2 is moved exactly
+        c, g = Grid(128), Grid(m)
+        s = PeriodicSamples(rng.standard_normal(128) + 2.0, c)
+        back = restrict(resample(s, g), c)
+        assert np.max(np.abs(back.values - s.values)) <= 1e-14 * np.max(np.abs(s.values))
+        coeffs = [(rng.normal(), rng.normal()) for _ in range(63)]
+        up = resample(trig_poly(c, coeffs), g)
+        assert np.max(np.abs(up.values - trig_poly(g, coeffs).values)) < 1e-12
+
     def test_rejects_finer_grid(self):
         with pytest.raises(ValueError, match="finer"):
             restrict(PeriodicSamples(np.ones(64), Grid(64)), Grid(128))

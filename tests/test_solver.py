@@ -410,11 +410,12 @@ def _same_report(rep, h, trace, stages, res_sup):
 
 class TestSequencing:
     def test_levels(self):
+        # the coarse grids tried in turn, each followed by the data grid
         sizes = {n: [g.n_points for g in solver._level_grids(Grid(n))]
-                 for n in (128, 250, 256, 500, 512, 768, 1024, 1028, 1030)}
-        assert sizes == {128: [128], 250: [250], 256: [128, 256], 500: [250, 500],
-                         512: [128, 256, 512], 768: [192, 384, 768],
-                         1024: [128, 256, 512, 1024], 1028: [514, 1028], 1030: [1030]}
+                 for n in (128, 250, 256, 258, 500, 512, 768, 1024, 1028, 1030)}
+        assert sizes == {128: [], 250: [], 256: [128], 258: [128, 256], 500: [128, 256],
+                         512: [128, 256], 768: [128, 256], 1024: [128, 256],
+                         1028: [128, 256], 1030: [128, 256]}
 
     def test_matches_fine_path(self):
         cfg = SolverConfig()
@@ -430,6 +431,21 @@ class TestSequencing:
                 h_ref = _continued(params, cfg=cfg)[0]
                 gap = np.max(np.abs(rep.body.values - h_ref))
                 assert gap <= 1e-11 * np.max(h_ref), (seed, n, kind, gap)
+
+    @pytest.mark.parametrize("n, kind, seed", [(500, "trig", 0), (768, "bump", 0),
+                                               (1030, "bump", 2)])
+    def test_two_levels_at_any_even_size(self, n, kind, seed):
+        # one coarse level at n = 128 wherever n >= 2 COARSE_N, whether or
+        # not n halves down to it: 500 and 768 used to bottom out at 250 and
+        # 192, and 1030 was solved on the full grid alone
+        cfg = SolverConfig()
+        params = _params(0.5, 3.0, Grid(n), seed, kind=kind)
+        rep = solve(params, config=cfg)
+        k, j = rep.levels[0][1], rep.levels[-1][1]
+        assert rep.converged and rep.levels == [(128, k), (n, j)], rep.levels
+        h_ref = _continued(params, cfg=cfg)[0]
+        gap = np.max(np.abs(rep.body.values - h_ref))
+        assert gap <= 1e-11 * np.max(h_ref), gap
 
     def test_small_grid_and_explicit_initial_unchanged(self):
         cfg = SolverConfig()
@@ -475,15 +491,13 @@ class TestSequencing:
         # again from n = 256, whose n = 512 polish succeeds
         attempt = solve(ProblemParams(0.5, 3.0, restrict(params.f, Grid(128))))
         trace, stages, levels = [], [], []
-        h_ref, _, res_sup, gap = solver._sequenced(params, SolverConfig(),
-                                                   [Grid(256), Grid(512)],
+        h_ref, _, res_sup, gap = solver._sequenced(params, SolverConfig(), Grid(256),
                                                    trace, stages, levels)
         abandoned = len(rep.trace) - len(trace)
         assert rep.converged and rep.level_gap == gap
-        assert rep.levels[0] == (128, attempt.iterations)
-        assert [n for n, _ in rep.levels[1:3]] == [256, 512] and rep.levels[2][1] == 1
-        assert rep.levels[3:] == levels
-        assert abandoned == sum(steps for _, steps in rep.levels[:3])
+        assert rep.levels[:2] == [(128, attempt.iterations), (512, 1)]
+        assert rep.levels[2:] == levels
+        assert abandoned == sum(steps for _, steps in rep.levels[:2])
         assert rep.trace[:attempt.iterations] == attempt.trace
         assert rep.trace[abandoned:] == trace and rep.stage_iterations[-len(stages):] == stages
         assert rep.iterations == len(rep.trace) == sum(rep.stage_iterations)
@@ -514,7 +528,7 @@ class TestSequencing:
         monkeypatch.undo()
         h_fine, fine_trace, _, _ = _continued(params)
         assert rep.converged and rep.level_gap is None and rep.krylov_iterations == 6
-        assert rep.levels == [(128, attempt.iterations), (256, 0), (256, len(coarse_trace)),
+        assert rep.levels == [(128, attempt.iterations), (512, 0), (256, len(coarse_trace)),
                               (512, 0), (512, len(fine_trace))]
         assert np.array_equal(rep.body.values, h_fine)
 
@@ -560,10 +574,10 @@ class TestSequencing:
         params = ProblemParams(0.5, 3.0, PeriodicSamples(vals, g))
         assert restrict(params.f, Grid(256)).values.min() < 0.0
         assert restrict(params.f, Grid(128)).values.min() < 0.0
-        grids = solver._level_grids(g)
-        for first in (0, 1):
+        assert solver._level_grids(g) == [Grid(128), Grid(256)]
+        for coarse in (Grid(128), Grid(256)):
             trace, stage_iterations, levels = [], [], []
-            rep = solver._sequenced(params, SolverConfig(), grids[first:], trace,
+            rep = solver._sequenced(params, SolverConfig(), coarse, trace,
                                     stage_iterations, levels)
             assert rep is None and trace == stage_iterations == levels == []
 
