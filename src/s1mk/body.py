@@ -46,16 +46,20 @@ class SupportFunction:
     def _validate(self):
         vals = self.h.values
         i = int(np.argmin(vals))
-        if vals[i] < 0.0:
+        # written as "not >=" so that NaN, which argmin returns first, fails
+        if not vals[i] >= 0.0:
+            what = f"{vals[i]:.3e} < 0" if np.isfinite(vals[i]) else "non-finite"
             raise NegativeSupportError(
-                f"support value {vals[i]:.3e} < 0 at theta = {self.h.theta[i]:.6f}"
+                f"support value {what} at theta = {self.h.theta[i]:.6f}"
             )
+        # an infinite support value leaves NaN everywhere in the curvature
         curv = self.curvature.values
         j = int(np.argmin(curv))
-        if curv[j] < -self.tol_convex:
+        if not curv[j] >= -self.tol_convex:
+            what = (f"{curv[j]:.6e} < -{self.tol_convex:.1e}" if np.isfinite(curv[j])
+                    else "non-finite")
             raise NonconvexError(
-                f"curvature density {curv[j]:.6e} < -{self.tol_convex:.1e}"
-                f" at theta = {self.h.theta[j]:.6f}",
+                f"curvature density {what} at theta = {self.h.theta[j]:.6f}",
                 theta=float(self.h.theta[j]),
                 value=float(curv[j]),
             )
@@ -276,8 +280,13 @@ def to_json(body: SupportFunction) -> dict:
 
 
 def from_json(data, tol_convex: float | None = None) -> SupportFunction:
-    """Rebuild a body from :func:`to_json` output (dict or JSON text)."""
+    """Rebuild a body from :func:`to_json` output (dict or JSON text).
+
+    The number of samples sets the grid; ``n_points``, where given, must equal it.
+    """
     if isinstance(data, str):
         data = json.loads(data)
-    grid = Grid(int(data["n_points"]))
-    return from_samples(np.array(data["h"], dtype=float), grid, tol_convex=tol_convex)
+    h = np.array(data["h"], dtype=float)
+    if data.get("n_points", h.size) != h.size:
+        raise ValueError(f"n_points = {data['n_points']!r} but {h.size} support values")
+    return from_samples(h, Grid(h.size), tol_convex=tol_convex)

@@ -58,6 +58,17 @@ class TestValidation:
         body = from_samples(vals, g, tol_convex=1e-5)
         assert float(np.min(body.curvature.values)) < 0.0
 
+    # an infinite sample makes the whole curvature NaN, which numpy warns about
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad, error", [(np.nan, NegativeSupportError),
+                                            (np.inf, NonconvexError)])
+    def test_non_finite_sample_rejected(self, bad, error):
+        g = Grid(64)
+        vals = np.ones(64)
+        vals[5] = bad
+        with pytest.raises(error, match="non-finite"):
+            from_samples(vals, g)
+
     def test_validate_false_skips_checks(self):
         g = Grid(64)
         s = PeriodicSamples(np.cos(g.theta), g)
@@ -207,6 +218,12 @@ class TestSerialization:
         again = from_json(json.loads(json.dumps(data)))
         assert np.array_equal(again.values, body.values)
         assert again.grid.n_points == body.grid.n_points
+
+    def test_from_json_grid_is_the_sample_count(self, unit_disk):
+        h = unit_disk.values.tolist()
+        assert np.array_equal(from_json({"h": h}).values, unit_disk.values)
+        with pytest.raises(ValueError, match="n_points"):
+            from_json({"n_points": 128, "h": h})
 
     def test_from_json_accepts_text(self, unit_disk):
         text = json.dumps(to_json(unit_disk))

@@ -8,6 +8,7 @@ import pytest
 
 import s1mk
 from s1mk import ExperimentConfig, Grid, disk, ellipse_body, from_json, run_diameter, to_json
+from s1mk import cli
 from s1mk.cli import main
 
 
@@ -135,6 +136,43 @@ class TestMeasuresCommand:
         assert code == 64
 
 
+_DISK64 = disk(Grid(64)).values.tolist()
+
+
+class TestSampleFiles:
+    @pytest.mark.parametrize("argv", [
+        ["measures"], ["john"],
+        ["solve", "--p", "0.5", "--q", "2", "--f-const", "1", "--init"]])
+    def test_body_without_n_points(self, tmp_path, argv):
+        # the body format the README documents: the sample count sets the grid
+        body = tmp_path / "b.json"
+        body.write_text(json.dumps({"h": _DISK64}))
+        assert main([*argv, str(body), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"n_points": 64, "h": _DISK64[:60]}),        # count differs
+        json.dumps({"n_points": 64, "h": 1.0}),                 # not a list
+        json.dumps({"n_points": 64, "h": ["1"] * 64}),          # not numbers
+        json.dumps({"n_points": 64, "h": [float("nan")] + _DISK64[1:]}),
+        json.dumps({"n_points": 64, "h": [10**400] + _DISK64[1:]}),
+        json.dumps({"n_points": 63, "h": _DISK64[:63]}),        # odd count
+        json.dumps({"n_points": 8, "h": _DISK64[::8]}),         # under 16
+    ], ids=["count", "scalar", "strings", "nan", "overflow", "odd", "short"])
+    def test_malformed_body_samples(self, tmp_path, capsys, text):
+        body = tmp_path / "b.json"
+        body.write_text(text)
+        assert main(["measures", str(body), "--out", str(tmp_path)]) == 64
+        assert "s1mk: error:" in capsys.readouterr().err
+
+    def test_malformed_data_samples(self, tmp_path):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"f": ["a", "b"]}))
+        code = main(["solve", "--p", "0.5", "--q", "2", "--f-file", str(f),
+                     "--out", str(tmp_path)])
+        assert code == 64
+        assert not (tmp_path / "solution.json").exists()
+
+
 class TestJohnCommand:
     def test_free_and_centroid(self, tmp_path, capsys):
         body_file = _write_body(tmp_path / "e.json",
@@ -173,6 +211,20 @@ class TestVerifyVariational:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "max_rel_error=" in out
+
+    def test_prints_each_check_verdict(self, monkeypatch, capsys):
+        real = cli.run_variational
+
+        def first_fails(**kw):
+            report = real(**kw)
+            report["checks"][0]["ok"] = report["ok"] = False
+            return report
+
+        monkeypatch.setattr(cli, "run_variational", first_fails)
+        code = main(["verify-variational", "--grid", "64"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 2
+        assert lines[0].startswith("FAIL") and lines[1].startswith("ok")
 
 
 class TestSweepCommand:

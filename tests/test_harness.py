@@ -1,4 +1,5 @@
 import csv
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ from s1mk.harness import write_csv
 
 
 def _failing_john(monkeypatch, failing_call):
-    """Make harness.john raise on its failing_call-th call (1-based)."""
+    """Make harness.john raise on its failing_call-th call (1-based).
+
+    The battery rows get an empty cache of their own for the test, so the
+    battery is fit by the failing john and no injected failure outlives it.
+    """
+    monkeypatch.setattr(harness, "_battery_rows",
+                        lru_cache(harness._battery_rows.__wrapped__))
     real = harness.john
     calls = []
 
@@ -179,6 +186,28 @@ class TestRunSandwich:
                    if key not in ("id", "body_kind", "converged"))
         assert out["summary"]["n_rows"] == 9
         assert out["summary"]["n_converged"] == 8
+
+    def test_battery_is_measured_once_per_p_q(self, tmp_path, monkeypatch):
+        cfg = self._cfg(tmp_path)
+        run_sandwich(cfg)
+        real = harness.containment_report
+        calls = []
+
+        def counted(body, ellipse):
+            calls.append(body)
+            return real(body, ellipse)
+
+        monkeypatch.setattr(harness, "containment_report", counted)
+        run_sandwich(cfg)
+        assert len(calls) == cfg.n_samples
+
+    def test_cached_battery_rows_equal_a_fresh_fit(self, tmp_path):
+        cached = harness._battery_rows(0.5, 2.0)
+        harness._battery_rows.cache_clear()
+        run_sandwich(self._cfg(tmp_path))
+        fresh = harness._battery_rows(0.5, 2.0)
+        assert fresh is not cached
+        assert fresh == cached
 
     def test_parameter_validation(self, tmp_path):
         with pytest.raises(ParameterRangeError):
