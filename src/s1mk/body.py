@@ -52,7 +52,15 @@ class SupportFunction:
             raise NegativeSupportError(
                 f"support value {what} at theta = {self.h.theta[i]:.6f}"
             )
-        # an infinite support value leaves NaN everywhere in the curvature
+        # an infinite support value would leave NaN everywhere in the curvature
+        k = int(np.argmax(vals))
+        if vals[k] == np.inf:
+            raise NonconvexError(
+                f"curvature density non-finite: support value inf at "
+                f"theta = {self.h.theta[k]:.6f}",
+                theta=float(self.h.theta[k]),
+                value=float(vals[k]),
+            )
         curv = self.curvature.values
         j = int(np.argmin(curv))
         if not curv[j] >= -self.tol_convex:

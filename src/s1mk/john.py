@@ -1,19 +1,28 @@
 """Maximal-area inscribed ellipse and the two-sided total-measure estimate.
 
-The ellipse E = {B u + c : |u| <= 1} with B symmetric positive definite is fit
-inside the convex hull of the sampled boundary points by maximizing log det B
-subject to one second-order constraint per hull edge,
+A body is its support values h_i at the grid normals u_i = (cos t_i, sin t_i).
+The ellipse E = {B u + c : |u| <= 1} with B symmetric positive definite has
+support function ||B u|| + <u, c>, so the fit maximizes log det B subject to
+E lying inside K at every sampled normal,
 
-    || B a_i || + <a_i, c> <= b_i        for the half-plane <a_i, x> <= b_i.
+    || B u_i || + <u_i, c> <= h_i        for each grid normal u_i.
+
+It works in coordinates shifted by the Steiner point (2/n) sum h_i u_i and
+scaled by half the diameter, so the free fit starts at the origin.  E inside
+K is exact at every sampled normal, these being the fit's constraints;
+between samples it holds only to O(n^-2) of the diameter, h_E - h_K peaking
+at a few 1e-5 of it on random bodies at n = 256.  The classical containment K
+inside 2E (dilation about the center of E) is checked a posteriori on the
+boundary samples, never assumed.
 
 The program is solved by a log-barrier Newton method with backtracking (five
 unknowns: the three entries of B and the center, which a pinned fit holds
 fixed; Boyd and Vandenberghe, Convex Optimization, 11.3 and 11.6).  Both fits
-start from the disk of radius 0.4 s0 about the start center (the mean of the
-samples, or the pinned center), s0 being its least slack to a hull edge; a
-pinned center not strictly inside the hull raises ``EllipseSolveError``.
-Edge i contributes the self-concordant barrier of the second-order cone,
--log(r_i^2 - ||B a_i||^2) with r_i = b_i - <a_i, c>, whose parameter is 2, so
+start from the disk of radius 0.4 s0 about the start center (the Steiner
+point, or the pinned center), s0 being its least slack to a constraint; a
+pinned center not strictly inside raises ``EllipseSolveError``.  Constraint i
+contributes the self-concordant barrier of the second-order cone,
+-log(r_i^2 - ||B u_i||^2) with r_i = h_i - <u_i, c>, whose parameter is 2, so
 the fit stops at the first stage t with 2m/t below 1e-11.  Every Newton step
 is solved by Cholesky and goes through one Armijo search with a roundoff pad;
 when the decrement lambda is below 1/4 it takes the full step on a finite
@@ -21,22 +30,15 @@ barrier value alone.  Line-search trials are evaluated by value alone, and
 the gradient and Hessian are built in one pass, only at accepted points.  The
 final stage is centered until lambda^2 <= 1e-8, the intermediate ones, which
 only start the next stage, until lambda^2 <= 1e-3; any stage ends where
-lambda^2 reaches its roundoff floor, which it does from t of about 1e12 on:
-there a full step from lambda^2 < 1/16 no longer cuts lambda^2 by 4x, and the
-stage ends after that step.  A stage that instead runs out of ``max_inner``
-steps or fails its backtracking search raises ``EllipseSolveError`` with the
-last iterate as ``best``; no stage is left uncentered silently.  Between
-stages a predictor moves the centered point along the central path's tangent,
-extrapolated in 1/t, and keeps the move, or else half or a quarter of it,
-where the barrier at the next t is finite.
-
-Boundary samples in strictly convex counterclockwise order, as
-``boundary_xy`` gives them for a convex body, are their own hull; other
-point sets go through Qhull.
-
-Hull containment gives E inside K for free; the classical containment K
-inside 2E (dilation about the center of E) is checked a posteriori, never
-assumed.
+lambda^2 reaches its roundoff floor, which it does from t of about 1e13 on:
+there a step from lambda^2 < 1/4 no longer cuts lambda^2 by 4x, and the
+stage ends after the next step.  A stage that instead runs out of
+``max_inner`` steps (400: damped phases of a few hundred steps occur at
+n >= 4096) or fails its backtracking search raises ``EllipseSolveError``
+with the last iterate as ``best``; no stage is left uncentered silently.
+Between stages a predictor moves the centered point along the central path's
+tangent, extrapolated in 1/t, and keeps the move, or else half or a quarter
+of it, where the barrier at the next t is finite.
 """
 
 from __future__ import annotations
@@ -47,7 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.spatial import ConvexHull
+# ``ConvexHull`` is unused here but stays a module attribute: the benchmark's
+# tracer hooks s1mk.john.ConvexHull.
+from scipy.spatial import ConvexHull  # noqa: F401
 
 from .body import SupportFunction, boundary_xy, diameter
 from .errors import EllipseSolveError, ParameterRangeError
@@ -90,35 +94,12 @@ class SandwichReport:
     r2: float
 
 
-def _hull_halfplanes(points: np.ndarray):
-    """Outward unit normals a_i and offsets b_i of the hull edges (a.x <= b)."""
-    edges = np.roll(points, -1, axis=0) - points
-    after = np.roll(edges, -1, axis=0)
-    turns = edges[:, 0] * after[:, 1] - edges[:, 1] * after[:, 0]
-    # The edge direction turns by less than pi at a strict left turn, so it
-    # passes the direction (-1, 0) once per winding.  Strict left turns that
-    # wind once make a convex polygon: the ordered points are their own hull.
-    wraps = np.count_nonzero((edges[:, 1] > 0.0) & (after[:, 1] <= 0.0))
-    if turns.min() > 0.0 and wraps == 1:
-        verts = points
-    else:
-        hull = ConvexHull(points)
-        verts = points[hull.vertices]      # counterclockwise
-        edges = np.roll(verts, -1, axis=0) - verts
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    keep = lengths > 1e-14 * max(1.0, float(lengths.max()))
-    verts, edges, lengths = verts[keep], edges[keep], lengths[keep]
-    normals = np.column_stack([edges[:, 1], -edges[:, 0]]) / lengths[:, None]
-    offsets = np.einsum("ij,ij->i", normals, verts)
-    return normals, offsets
-
-
 # Cholesky solve of the barrier's Newton systems
 _POSV, = get_lapack_funcs(("posv",), (np.empty((2, 2)),))
 
 
-def _edge_constants(normals, offsets, fixed_center):
-    """Per-fit arrays of the barrier that depend only on the hull edges."""
+def _constraint_constants(normals, offsets, fixed_center):
+    """Per-fit arrays of the barrier that depend only on the constraints."""
     a = np.ascontiguousarray(normals.T)    # rows a1 and a2
     a1, a2 = a
     return {
@@ -133,7 +114,7 @@ def _edge_constants(normals, offsets, fixed_center):
     }
 
 
-def _barrier_value(x, t, edges):
+def _barrier_value(x, t, cons):
     """Barrier value at x = (b11, b22, b12[, c1, c2]) and the parts its
     derivatives reuse; (inf, None) outside the domain."""
     b11, b22, b12 = x[:3].tolist()
@@ -142,14 +123,14 @@ def _barrier_value(x, t, edges):
         return np.inf, None
 
     # rows w1, w2 of B a_i (and <a_i, c> when the center is free)
-    r = edges["room"]
+    r = cons["room"]
     if r is None:
         c1, c2 = x[3:5].tolist()
-        w = np.array([[b11, b12], [b12, b22], [c1, c2]]) @ edges["a"]
-        r = edges["offsets"] - w[2]
+        w = np.array([[b11, b12], [b12, b22], [c1, c2]]) @ cons["a"]
+        r = cons["offsets"] - w[2]
         w = w[:2]
     else:
-        w = np.array([[b11, b12], [b12, b22]]) @ edges["a"]
+        w = np.array([[b11, b12], [b12, b22]]) @ cons["a"]
     s = np.hypot(w[0], w[1])
     slack = r - s
     if slack.min() <= 0.0:
@@ -162,17 +143,17 @@ def _barrier_value(x, t, edges):
     return phi, (det, w, r, q)
 
 
-def _barrier_grad_hess(x, t, edges, parts):
+def _barrier_grad_hess(x, t, cons, parts):
     """Gradient and Hessian of the barrier from ``_barrier_value``'s parts."""
     b11, b22, b12 = x[:3].tolist()
     det, w, r, q = parts
-    a, rows = edges["a"], edges["rows"]
+    a, rows = cons["a"], cons["rows"]
 
     # row j holds -1/2 the derivative of every q_i in unknown j
     np.multiply(w, a, out=rows[:2])
     np.multiply(w[0], a[1], out=rows[2])
     rows[2] += w[1] * a[0]
-    free = edges["room"] is None
+    free = cons["room"] is None
     if free:
         np.multiply(r, a, out=rows[3:])
     weight = 2.0 / q
@@ -180,8 +161,8 @@ def _barrier_grad_hess(x, t, edges, parts):
     grad = rows.sum(axis=1)
     hess = rows @ rows.T
 
-    # -(Hessian of q_i) / q_i: a constant matrix per edge, over q_i
-    s11, s22, s12 = (edges["gram"] @ weight).tolist()
+    # -(Hessian of q_i) / q_i: a constant matrix per constraint, over q_i
+    s11, s22, s12 = (cons["gram"] @ weight).tolist()
     if free:
         hess[3, 3] -= s11
         hess[4, 4] -= s22
@@ -222,11 +203,11 @@ def _newton_solve(hess, rhs):
         return np.linalg.solve(hess + ridge * np.eye(len(rhs)), rhs)
 
 
-def _barrier_solve(normals, offsets, center, pinned=False, max_inner=80):
-    """Barrier Newton solution x = (b11, b22, b12[, c1, c2]) of the fit inside
-    the half-planes <a_i, x> <= b_i, the center free or, with ``pinned``, held
-    at ``center``.  The start is the disk of radius 0.4 s0 about ``center``,
-    s0 its least edge slack; ``EllipseSolveError`` if s0 <= 0."""
+def _barrier_solve(normals, offsets, center, pinned=False, max_inner=400):
+    """Barrier Newton solution x = (b11, b22, b12[, c1, c2]) of the fit under
+    ||B a_i|| + <a_i, c> <= b_i, the center free or, with ``pinned``, held at
+    ``center``.  The start is the disk of radius 0.4 s0 about ``center``, s0
+    its least constraint slack; ``EllipseSolveError`` if s0 <= 0."""
     m = len(offsets)
     s0 = float(np.min(offsets - normals @ center))
     if s0 <= 0.0:
@@ -234,13 +215,13 @@ def _barrier_solve(normals, offsets, center, pinned=False, max_inner=80):
     start = [0.4 * s0, 0.4 * s0, 0.0]
     x = np.array(start if pinned else start + [center[0], center[1]])
 
-    edges = _edge_constants(normals, offsets, center if pinned else None)
+    cons = _constraint_constants(normals, offsets, center if pinned else None)
     pad_per_phi = 32.0 * np.finfo(float).eps
     t = max(1.0, 0.05 * m)
     mu = 8.0
-    phi, parts = _barrier_value(x, t, edges)
+    phi, parts = _barrier_value(x, t, cons)
     while True:
-        # each edge's cone barrier has parameter 2, so the gap is at most 2m/t
+        # each constraint's cone barrier has parameter 2, so the gap is at most 2m/t
         final = 2 * m / t < 1e-11
         # Only the final stage's center is returned, and its gap bound needs
         # it centered (Boyd and Vandenberghe 11.3.3).  An intermediate stage
@@ -248,7 +229,7 @@ def _barrier_solve(normals, offsets, center, pinned=False, max_inner=80):
         # moved 240 random-body fits by at most 1e-14 relative, and cut the
         # barrier values of TestBarrierWork's 20 fits from 1693 to 1452.
         centered = 1e-8 if final else 1e-3
-        grad, hess = _barrier_grad_hess(x, t, edges, parts)
+        grad, hess = _barrier_grad_hess(x, t, cons, parts)
         prev = np.inf
         for _ in range(max_inner):
             rhs = -grad
@@ -257,11 +238,14 @@ def _barrier_solve(normals, offsets, center, pinned=False, max_inner=80):
             if lam2 <= centered:
                 # centered (or lost definiteness to roundoff)
                 break
-            # Away from roundoff a full step from lambda^2 < 1/16 cuts lambda^2
-            # by 16x or more (5x is the self-concordant bound).  Less than 4x
-            # means the O(t) gradient's roundoff now sets lambda^2: take this
-            # step, which still removes the decrement the noise hides, and stop.
-            at_floor = prev < 0.0625 and lam2 >= 0.25 * prev
+            # Away from roundoff a step from lambda^2 < 1/4 cuts lambda^2 by
+            # 4x or more: in the free and pinned fits of criterion 4's bodies
+            # and of 100 bodies at n = 8192, this test fired only from t =
+            # 5e13 on.  Less means the O(t) gradient's roundoff now sets
+            # lambda^2: take this step, which still removes the decrement the
+            # noise hides, and stop.  The floor reaches 0.087 on a smoothed
+            # square at n = 16384, which a test from 1/16 on never caught.
+            at_floor = prev < 0.25 and lam2 >= 0.25 * prev
             prev = lam2
             # Armijo with an explicit roundoff allowance: phi is O(t) while the
             # required decrease can be orders of magnitude smaller.  For
@@ -275,11 +259,11 @@ def _barrier_solve(normals, offsets, center, pinned=False, max_inner=80):
             alpha = 1.0
             for _ in range(60):
                 cand = x + alpha * step
-                phi_c, parts = _barrier_value(cand, t, edges)
+                phi_c, parts = _barrier_value(cand, t, cons)
                 if (phi_c <= phi - 0.25 * alpha * lam2 + pad
                         or (alpha == 1.0 and lam2 < 0.0625 and phi_c < np.inf)):
                     x, phi = cand, phi_c
-                    grad, hess = _barrier_grad_hess(x, t, edges, parts)
+                    grad, hess = _barrier_grad_hess(x, t, cons, parts)
                     break
                 alpha *= 0.5
             else:
@@ -300,11 +284,11 @@ def _barrier_solve(normals, offsets, center, pinned=False, max_inner=80):
         # finite; if it leaves the domain, half and then a quarter of it are
         # tried before the stage restarts from x.  Over the free and pinned
         # fits of criterion 4's 200 random bodies, no stage restarts: of 5600
-        # moves, 4116 are kept in full, 1382 halved and 102 quartered, and
-        # from t = 1e4 to 1e6 the full move is never kept.  These fits take
-        # 34 937 barrier values and 26 142 gradient/Hessian builds, against
-        # 42 252 and 27 860 with the full move only and 55 481 and 32 474
-        # with no predictor.
+        # moves, 4129 are kept in full, 1368 halved and 103 quartered, and
+        # from t = 1e4 to 1e6 the full move is never kept (698 halved, 102
+        # quartered).  These fits take 29 714 barrier values and 20 985
+        # gradient/Hessian builds, against 37 047 and 22 794 with the full
+        # move only and 50 282 and 27 390 with no predictor.
         d = np.zeros_like(x)
         d[:3] = np.array([x[1], x[0], -2.0 * x[2]]) / (x[0] * x[1] - x[2] ** 2)
         move = (1.0 - 1.0 / mu) * t * _newton_solve(hess, d)
@@ -313,32 +297,40 @@ def _barrier_solve(normals, offsets, center, pinned=False, max_inner=80):
             raise EllipseSolveError("barrier parameter overflow", best=x.copy())
         for frac in (1.0, 0.5, 0.25):
             cand = x + frac * move
-            phi, parts = _barrier_value(cand, t, edges)
+            phi, parts = _barrier_value(cand, t, cons)
             if phi < np.inf:
                 x = cand
                 break
         else:
-            phi, parts = _barrier_value(x, t, edges)
+            phi, parts = _barrier_value(x, t, cons)
     return x
 
 
+def _support_constraints(body: SupportFunction):
+    """The fit's constraints ||B u_i|| + <u_i, c> <= b_i, u_i the grid normals,
+    in coordinates x = (y - shift) / scale with shift the Steiner point
+    (2/n) sum h_i u_i and scale half the diameter: (normals, b, shift, scale)."""
+    theta = body.grid.theta
+    normals = np.column_stack([np.cos(theta), np.sin(theta)])
+    h = body.values
+    shift = (2.0 / len(h)) * (h @ normals)
+    scale = 0.5 * diameter(body)
+    return normals, (h - normals @ shift) / scale, shift, scale
+
+
 def john(body: SupportFunction, center=None) -> Ellipse:
-    """Maximal-area ellipse inscribed in the hull of the sampled boundary.
+    """Maximal-area ellipse inside the body at every sampled normal.
 
-    With ``center`` given, only the shape is optimized (the centroid-pinned
-    variant), and a center not strictly inside the hull raises
-    ``EllipseSolveError``; otherwise the center is free.  Both fits start from
-    the disk of radius 0.4 s0 about ``center`` or the mean of the samples, s0
-    being its least slack to a hull edge.
+    E inside K is exact at the grid normals, which are the fit's constraints,
+    and holds between them only to O(n^-2) of the diameter.  With ``center``
+    given, only the shape is optimized (the centroid-pinned variant), and a
+    center not strictly inside raises ``EllipseSolveError``; otherwise the
+    center is free.  Both fits start from the disk of radius 0.4 s0 about
+    ``center`` or the Steiner point, s0 being its least constraint slack.
     """
-    points = boundary_xy(body)
-    shift = points.mean(axis=0)
-    scale = 0.5 * max(np.ptp(points[:, 0]), np.ptp(points[:, 1]))
-    work = (points - shift) / scale
-    normals, offsets = _hull_halfplanes(work)
-
+    normals, offsets, shift, scale = _support_constraints(body)
     pinned = center is not None
-    c = (np.asarray(center, dtype=float) - shift) / scale if pinned else work.mean(axis=0)
+    c = (np.asarray(center, dtype=float) - shift) / scale if pinned else np.zeros(2)
     x = _barrier_solve(normals, offsets, c, pinned=pinned)
     if not pinned:
         c = x[3:5]
@@ -349,8 +341,11 @@ def john(body: SupportFunction, center=None) -> Ellipse:
 
 
 def containment_report(body: SupportFunction, ellipse: Ellipse) -> dict:
-    """Certificates for E inside K (vertexwise) and K inside 2E.
+    """Certificates for E inside K and K inside 2E on the boundary samples.
 
+    A fitted E lies inside K exactly at the sampled normals and to O(n^-2)
+    of the diameter between them; ``boundary_outside_E`` checks that no
+    sampled boundary point falls inside E by more than 1e-8 of the diameter.
     A sampled boundary point at distance r from E's center has gauge g: it
     lies on the dilate gE and is (g - s) r / g outside sE along its ray."""
     pts = boundary_xy(body) - ellipse.center

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -59,15 +60,17 @@ class TestValidation:
         assert float(np.min(body.curvature.values)) < 0.0
 
     # an infinite sample makes the whole curvature NaN, which numpy warns about
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad, error", [(np.nan, NegativeSupportError),
                                             (np.inf, NonconvexError)])
     def test_non_finite_sample_rejected(self, bad, error):
         g = Grid(64)
         vals = np.ones(64)
         vals[5] = bad
-        with pytest.raises(error, match="non-finite"):
-            from_samples(vals, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error, match="non-finite") as info:
+                from_samples(vals, g)
+        assert f"at theta = {g.theta[5]:.6f}" in str(info.value)
 
     def test_validate_false_skips_checks(self):
         g = Grid(64)

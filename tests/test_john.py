@@ -6,7 +6,6 @@ import pytest
 
 import s1mk
 from s1mk import (
-    DegenerateCurvatureWarning,
     Ellipse,
     EllipseSolveError,
     Grid,
@@ -16,9 +15,12 @@ from s1mk import (
     area,
     centroid,
     containment_report,
+    diameter,
     disk,
     ellipse_body,
+    from_samples,
     john,
+    resample,
     rotate,
     sandwich_c2,
     sandwich_ratio,
@@ -80,13 +82,45 @@ class TestJohnRecovery:
         # major axis along x, up to the pi ambiguity
         assert min(ell.angle, math.pi - ell.angle) < 1e-4
 
-    def test_hull_gap_shrinks_with_n(self):
-        # inscribed-polygon defect is second order in the spacing
-        errs = []
-        for n in (1024, 2048):
-            ell = john(disk(Grid(n), 1.0))
-            errs.append(max(abs(ell.r1 - 1.0), abs(ell.r2 - 1.0)))
-        assert errs[0] / errs[1] > 3.0
+    @pytest.mark.parametrize("n", [256, 1024, 2048])
+    def test_recovery_at_every_n(self, n):
+        # the constraints are the body's own support values, so no inscribed
+        # polygon biases the fit on a coarse grid
+        assert _ellipse_err(john(disk(Grid(n), 1.0)), 1.0, 1.0) <= 1e-10
+        assert _ellipse_err(john(ellipse_body(Grid(n), 2.0, 1.0)), 2.0, 1.0) <= 1e-10
+
+    def test_battery_ellipses(self):
+        for name, body in s1mk.eccentric_battery():
+            ell = john(body)
+            assert _ellipse_err(ell, 1.0, float(body.values.min())) <= 1e-10, name
+
+
+class TestSupportForm:
+    def test_fit_reads_no_boundary_points_and_no_hull(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the fit needs only the support values")
+        monkeypatch.setattr(JOHN_MODULE, "boundary_xy", refuse)
+        monkeypatch.setattr(JOHN_MODULE, "ConvexHull", refuse)
+        body = s1mk.random_convex_body(np.random.default_rng(0), Grid(256))
+        john(body)
+        john(body, center=centroid(body))
+
+    def test_containment_between_samples(self):
+        # E lies inside K at the sampled normals; between them h_E may exceed
+        # h_K by O(n^-2) of the diameter, seen on a 4x finer grid
+        excess = {256: [], 512: []}
+        for seed in range(10):
+            body = s1mk.random_convex_body(np.random.default_rng(seed), Grid(256))
+            for n in excess:
+                on_n = from_samples(resample(body.h, Grid(n)).values, Grid(n))
+                ell = john(on_n)
+                fine = Grid(4 * n)
+                u = np.column_stack([np.cos(fine.theta), np.sin(fine.theta)])
+                h_e = np.linalg.norm(u @ ell.shape_matrix, axis=1) + u @ ell.center
+                h_k = resample(body.h, fine).values
+                excess[n].append(float(np.max(h_e - h_k)) / diameter(body))
+        assert max(excess[256]) <= 1e-4
+        assert max(excess[256]) >= 3.0 * max(excess[512])
 
 
 def _smoothed_square(n=16384, sigma=1e-3):
@@ -127,8 +161,7 @@ class TestStart:
 class TestNearDegenerate:
     def test_smoothed_square(self):
         body = _smoothed_square()
-        with pytest.warns(DegenerateCurvatureWarning):
-            ell = john(body)
+        ell = john(body)
         # John ellipse of a square is its incircle
         assert abs(ell.r1 - 1.0) <= 1e-3
         assert abs(ell.r1 - ell.r2) <= 1e-6
@@ -179,6 +212,17 @@ class TestContainment:
             assert rep["boundary_outside_E"]
 
 
+def _working_fit(pinned):
+    """Constraints, pinned center (or None) and barrier solution of a random
+    body's fit, in john()'s working coordinates."""
+    body = s1mk.random_convex_body(np.random.default_rng(4), Grid(256))
+    normals, offsets, shift, scale = JOHN_MODULE._support_constraints(body)
+    fixed = (centroid(body) - shift) / scale if pinned else None
+    x = JOHN_MODULE._barrier_solve(
+        normals, offsets, fixed if pinned else np.zeros(2), pinned=pinned)
+    return normals, offsets, fixed, x
+
+
 class TestBarrierStopping:
     # Barrier evaluations for the fits below, measured under the earlier
     # rule that ran every stage until lambda^2 <= 1e-8 or max_inner = 80
@@ -210,22 +254,31 @@ class TestBarrierStopping:
 
     def test_uncentered_stage_raises(self):
         body = s1mk.random_convex_body(np.random.default_rng(0), Grid(256))
-        work = s1mk.boundary_xy(body)
-        normals, offsets = JOHN_MODULE._hull_halfplanes(work)
+        normals, offsets, _, _ = JOHN_MODULE._support_constraints(body)
         with pytest.raises(EllipseSolveError, match="not centered") as info:
-            JOHN_MODULE._barrier_solve(normals, offsets, work.mean(axis=0),
-                                       max_inner=2)
+            JOHN_MODULE._barrier_solve(normals, offsets, np.zeros(2), max_inner=2)
         assert info.value.best is not None and info.value.best.shape == (5,)
+
+    def test_long_damped_stages_at_n_8192(self):
+        # These fits spend more than 80 Newton steps in a damped phase at
+        # t of about 1e7 (p: centroid-pinned); none needs more than 400.
+        for label in ("8p", "26", "26p", "37", "87", "92p", "99p"):
+            coarse = s1mk.random_convex_body(
+                np.random.default_rng(int(label.rstrip("p"))), Grid(256))
+            body = from_samples(resample(coarse.h, Grid(8192)).values, Grid(8192))
+            john(body, center=centroid(body) if label.endswith("p") else None)
 
 
 class TestBarrierWork:
     # _barrier_value and _barrier_grad_hess calls for the fits of
-    # TestBarrierStopping: 1452 and 1032 with intermediate stages centered
-    # only to lambda^2 <= 1e-3, 1693 and 1270 with every stage centered to
-    # 1e-8, Cholesky steps and a predictor that halves a move leaving the
-    # domain, 2088 and 1366 with LU steps and a full-or-nothing predictor,
-    # 2800 and 1626 with the earlier -log(r - |B a|) barrier.  The pins
-    # allow under 5% above the first pair.
+    # TestBarrierStopping: 1482 and 1048 under the body's support constraints,
+    # 1452 and 1032 under the edges of the sampled boundary's hull with
+    # intermediate stages centered only to lambda^2 <= 1e-3, 1693 and 1270
+    # with every stage centered to 1e-8, Cholesky steps and a predictor that
+    # halves a move leaving the domain, 2088 and 1366 with LU steps and a
+    # full-or-nothing predictor, 2800 and 1626 with the earlier
+    # -log(r - |B a|) barrier.  The pins allow under 5% above the hull
+    # form's pair (2.6% and 3.1% above the first).
     MAX_VALUE_CALLS = 1520
     MAX_GRAD_HESS_CALLS = 1080
 
@@ -249,20 +302,15 @@ class TestBarrierWork:
     @pytest.mark.parametrize("pinned", [False, True])
     @pytest.mark.parametrize("t", [1.0, 1e3, 1e6])
     def test_derivatives_match_central_differences(self, pinned, t):
-        body = s1mk.random_convex_body(np.random.default_rng(4), Grid(256))
-        work = s1mk.boundary_xy(body)
-        normals, offsets = JOHN_MODULE._hull_halfplanes(work)
-        fixed = centroid(body) if pinned else None
-        x = JOHN_MODULE._barrier_solve(
-            normals, offsets, fixed if pinned else work.mean(axis=0), pinned=pinned)
+        normals, offsets, fixed, x = _working_fit(pinned)
         x[:3] *= 0.5  # half the fitted ellipse: off the central path
-        edges = JOHN_MODULE._edge_constants(normals, offsets, fixed)
+        cons = JOHN_MODULE._constraint_constants(normals, offsets, fixed)
 
         def value(y):
-            return JOHN_MODULE._barrier_value(y, t, edges)[0]
+            return JOHN_MODULE._barrier_value(y, t, cons)[0]
 
-        _, parts = JOHN_MODULE._barrier_value(x, t, edges)
-        grad, hess = JOHN_MODULE._barrier_grad_hess(x, t, edges, parts)
+        _, parts = JOHN_MODULE._barrier_value(x, t, cons)
+        grad, hess = JOHN_MODULE._barrier_grad_hess(x, t, cons, parts)
         steps = 1e-4 * np.eye(len(x))
         grad_fd = np.array([(value(x + e) - value(x - e)) / 2e-4 for e in steps])
         hess_fd = np.array([[(value(x + e + f) - value(x + e - f)
@@ -270,82 +318,6 @@ class TestBarrierWork:
                              for f in steps] for e in steps])
         assert np.abs(grad_fd - grad).max() <= 1e-6 * np.abs(grad).max()
         assert np.abs(hess_fd - hess).max() <= 1e-6 * np.abs(hess).max()
-
-
-def _cyclic_match(ref, got):
-    """Largest entry gap between two halfplane sets, one a cyclic shift of
-    the other; inf when the edge counts differ."""
-    (n_ref, b_ref), (n_got, b_got) = ref, got
-    if len(b_ref) != len(b_got):
-        return np.inf
-    shift = int(np.argmin(np.abs(n_ref - n_got[0]).sum(axis=1)))
-    n_ref, b_ref = np.roll(n_ref, -shift, axis=0), np.roll(b_ref, -shift)
-    return max(float(np.abs(n_ref - n_got).max()),
-               float(np.abs(b_ref - b_got).max()))
-
-
-class TestHullHalfplanes:
-    @pytest.fixture
-    def hull_calls(self, monkeypatch):
-        calls = []
-        inner = JOHN_MODULE.ConvexHull
-
-        def counted(points):
-            calls.append(len(points))
-            return inner(points)
-        monkeypatch.setattr(JOHN_MODULE, "ConvexHull", counted)
-        return calls
-
-    @staticmethod
-    def _bodies():
-        for n in (256, 512):
-            for seed in range(8):
-                rng = np.random.default_rng(1000 * n + seed)
-                yield s1mk.random_convex_body(rng, Grid(n))
-        for _, body in s1mk.eccentric_battery():
-            yield body
-
-    def test_convex_order_skips_qhull_and_matches_it(self, hull_calls):
-        for body in self._bodies():
-            points = s1mk.boundary_xy(body)
-            got = JOHN_MODULE._hull_halfplanes(points)
-            assert hull_calls == []
-            # a shuffled copy is out of order, so it goes through Qhull
-            order = np.random.default_rng(len(points)).permutation(len(points))
-            ref = JOHN_MODULE._hull_halfplanes(points[order])
-            assert hull_calls == [len(points)]
-            hull_calls.clear()
-            assert len(got[1]) == len(points)
-            assert _cyclic_match(ref, got) <= 1e-15
-
-    def test_out_of_order_samples_call_qhull(self, hull_calls):
-        points = s1mk.boundary_xy(
-            s1mk.random_convex_body(np.random.default_rng(3), Grid(256)))
-        own = JOHN_MODULE._hull_halfplanes(points)
-        inward = 0.9 * 0.5 * (points[10] + points[11])   # a reflex corner
-        for bad in (np.insert(points, 10, points[10], axis=0),   # repeated
-                    np.insert(points, 11, inward, axis=0),
-                    points[::-1]):                            # clockwise
-            got = JOHN_MODULE._hull_halfplanes(bad)
-            assert hull_calls == [len(bad)]
-            hull_calls.clear()
-            assert _cyclic_match(own, got) <= 1e-15
-        # a collinear triple: Qhull keeps only the square's corners
-        square = np.array([[-1.0, -1.0], [0.0, -1.0], [1.0, -1.0],
-                           [1.0, 1.0], [-1.0, 1.0]])
-        normals, offsets = JOHN_MODULE._hull_halfplanes(square)
-        assert hull_calls == [5]
-        assert _cyclic_match((np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0],
-                                        [-1.0, 0.0]]), np.ones(4)),
-                             (normals, offsets)) <= 1e-15
-
-    def test_doubly_wound_polygon_calls_qhull(self, hull_calls):
-        # every turn is left, but the boundary goes round twice
-        ang = np.linspace(0.0, 4.0 * np.pi, 14, endpoint=False)
-        star = np.column_stack([np.cos(ang), np.sin(ang)])
-        normals, offsets = JOHN_MODULE._hull_halfplanes(star)
-        assert hull_calls == [14]
-        assert len(offsets) == 7
 
 
 class TestNewtonSolve:
@@ -362,23 +334,21 @@ class TestNewtonSolve:
 
     @pytest.mark.parametrize("pinned", [False, True])
     def test_cholesky_matches_lu_on_barrier_hessian(self, solve_calls, pinned):
-        body = s1mk.random_convex_body(np.random.default_rng(4), Grid(256))
-        work = s1mk.boundary_xy(body)
-        normals, offsets = JOHN_MODULE._hull_halfplanes(work)
-        fixed = centroid(body) if pinned else None
-        x = JOHN_MODULE._barrier_solve(
-            normals, offsets, fixed if pinned else work.mean(axis=0), pinned=pinned)
+        normals, offsets, fixed, x = _working_fit(pinned)
         solve_calls.clear()
-        edges = JOHN_MODULE._edge_constants(normals, offsets, fixed)
+        cons = JOHN_MODULE._constraint_constants(normals, offsets, fixed)
         for scale, t in ((0.5, 1e3), (1.0, 1e12)):
             y = x.copy()
             y[:3] *= scale
-            _, parts = JOHN_MODULE._barrier_value(y, t, edges)
-            grad, hess = JOHN_MODULE._barrier_grad_hess(y, t, edges, parts)
+            _, parts = JOHN_MODULE._barrier_value(y, t, cons)
+            grad, hess = JOHN_MODULE._barrier_grad_hess(y, t, cons, parts)
             step = JOHN_MODULE._newton_solve(hess, -grad)
             assert solve_calls == []     # Cholesky succeeded
             ref = np.linalg.solve(hess, -grad)
-            assert np.abs(step - ref).max() <= 1e-12 * np.abs(ref).max()
+            # Both solves are backward stable, so they agree in the residual.
+            # Near the final center the Hessian's condition number reaches
+            # 1e4 to 1e14 (free fits, seeds 0-9), and forward errors with it.
+            assert np.abs(hess @ (step - ref)).max() <= 1e-12 * np.abs(grad).max()
             solve_calls.clear()
 
     def test_indefinite_falls_back_to_lu(self, solve_calls):
@@ -403,7 +373,7 @@ class TestNewtonSolve:
 class TestOptimality:
     """The fit against feasible points near it, whatever path found it: each
     random perturbation is scaled down to the largest multiple, at most 1,
-    that stays inside every hull halfplane, and none may raise log det B."""
+    that stays inside every support constraint, and none may raise log det B."""
 
     EPS = 1e-3
     TRIALS = 200
@@ -411,7 +381,7 @@ class TestOptimality:
     @staticmethod
     def _largest_feasible(normals, offsets, b, c, d_b, d_c):
         """Per trial, the largest s in [0, 1] with B + s dB, c + s dc inside
-        every halfplane: ||(B + s dB) a_i|| + <a_i, c + s dc> <= b_i."""
+        every constraint: ||(B + s dB) a_i|| + <a_i, c + s dc> <= b_i."""
         a1, a2 = normals[:, 0], normals[:, 1]
 
         def feasible(s):
@@ -436,7 +406,8 @@ class TestOptimality:
         for seed in range(10):
             body = s1mk.random_convex_body(np.random.default_rng(500 + seed), g)
             ell = john(body, center=centroid(body) if pinned else None)
-            normals, offsets = JOHN_MODULE._hull_halfplanes(s1mk.boundary_xy(body))
+            normals, _, _, _ = JOHN_MODULE._support_constraints(body)
+            offsets = body.values
             b, c = ell.shape_matrix, ell.center
             assert (np.linalg.norm(b @ normals.T, axis=0) + normals @ c
                     <= offsets).all()
