@@ -5,6 +5,19 @@ whose curvature density h'' + h is nonnegative (up to a small tolerance that
 absorbs spectral roundoff).  The boundary point with outward normal
 u = (cos t, sin t) is x = h u + h' u_perp, and all the classical quantities
 (area, perimeter, diameter, radial function) come from h and its derivatives.
+
+A body computes h' and h'' + h lazily, by one FFT, and caches them.  The
+constructions that commute with Fourier differentiation hand them on
+instead: ``minkowski_sum`` on a common grid, ``scale``, ``translate`` (a
+degree-1 term has zero curvature), ``rotate`` and ``disk``, and the
+harness's random trig bodies.  A carried array equals ``diff`` of the
+samples up to spectral roundoff, and the body is validated on it as on a
+computed one.  ``from_samples`` differentiates, and so do the constructions
+that do not commute: ``p_sum``, which is nonlinear, ``minkowski_sum`` across
+grids, which resamples, and ``ellipse_body``.  An ellipse's samples are not
+a trig polynomial, so its closed-form curvature is not that of the
+interpolant: at aspect 100 they differ by 0.58 max h at n = 1024 and 8e-8
+max h at n = 4096, and at n = 256 the interpolant is not convex.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from .errors import (
     OriginOnBoundaryError,
     ParameterRangeError,
 )
-from .grid import Grid, PeriodicSamples, diff, integrate, resample, trig_eval
+from .grid import Grid, PeriodicSamples, _multiplier, diff, integrate, resample, trig_eval
 
 
 def convexity_tol(values: np.ndarray) -> float:
@@ -42,6 +55,22 @@ class SupportFunction:
         self._curv = None
         if validate:
             self._validate()
+
+    @classmethod
+    def _carrying(cls, values, grid: Grid, hp, curv, tol_convex: float | None = None,
+                  validate: bool = True) -> SupportFunction:
+        """A body whose h' and h'' + h are known, seeded into the cache.
+
+        Only for constructions that commute with Fourier differentiation, so
+        that the carried arrays equal ``diff`` of ``values`` up to spectral
+        roundoff; validation then reads the carried curvature.
+        """
+        body = cls(PeriodicSamples(values, grid), tol_convex, validate=False)
+        body._hp = PeriodicSamples(hp, grid)
+        body._curv = PeriodicSamples(curv, grid)
+        if validate:
+            body._validate()
+        return body
 
     def _validate(self):
         vals = self.h.values
@@ -100,7 +129,10 @@ class SupportFunction:
 
 
 def from_samples(values, grid: Grid, tol_convex: float | None = None) -> SupportFunction:
-    """Build a body from raw support values, validating the class invariants."""
+    """Build a body from raw support values, validating the class invariants.
+
+    h' and h'' + h are computed from the samples by FFT when first needed.
+    """
     return SupportFunction(PeriodicSamples(np.asarray(values, dtype=float), grid),
                            tol_convex=tol_convex)
 
@@ -224,15 +256,27 @@ def _common_grid(k: SupportFunction, other: SupportFunction) -> PeriodicSamples:
 
 
 def minkowski_sum(k: SupportFunction, l: SupportFunction, t: float = 1.0) -> SupportFunction:
-    """Support function of K + t L (t >= 0)."""
+    """Support function of K + t L (t >= 0), on the grid of K.
+
+    On a common grid the sum carries h'_K + t h'_L and curvature
+    (h''_K + h_K) + t (h''_L + h_L).  Across grids L is resampled and the
+    sum differentiated.
+    """
     if t < 0.0:
         raise ValueError(f"scale t must be nonnegative, got {t}")
-    hl = _common_grid(k, l)
-    return SupportFunction(PeriodicSamples(k.values + t * hl.values, k.grid))
+    if l.grid != k.grid:
+        hl = resample(l.h, k.grid)
+        return SupportFunction(PeriodicSamples(k.values + t * hl.values, k.grid))
+    return SupportFunction._carrying(k.values + t * l.values, k.grid,
+                                     k.derivative.values + t * l.derivative.values,
+                                     k.curvature.values + t * l.curvature.values)
 
 
 def p_sum(k: SupportFunction, l: SupportFunction, t: float, p: float) -> SupportFunction:
-    """Firey combination: h = (h_K^p + t h_L^p)^(1/p), defined for p >= 1."""
+    """Firey combination: h = (h_K^p + t h_L^p)^(1/p), defined for p >= 1.
+
+    Nonlinear in h, so the result is differentiated, not carried.
+    """
     if p < 1.0:
         raise ParameterRangeError(f"p-sum needs p >= 1, got p = {p}")
     if t < 0.0:
@@ -245,37 +289,67 @@ def p_sum(k: SupportFunction, l: SupportFunction, t: float, p: float) -> Support
 
 
 def translate(body: SupportFunction, vec) -> SupportFunction:
+    """The body moved by ``vec``; carries h' and the unchanged curvature.
+
+    Translation adds the degree-1 term <vec, u>, whose h'' + h is zero.
+    """
     vx, vy = float(vec[0]), float(vec[1])
     t = body.grid.theta
-    vals = body.values + vx * np.cos(t) + vy * np.sin(t)
-    return SupportFunction(PeriodicSamples(vals, body.grid), tol_convex=body.tol_convex)
+    cos_t, sin_t = np.cos(t), np.sin(t)
+    vals = body.values + vx * cos_t + vy * sin_t
+    hp = body.derivative.values - vx * sin_t + vy * cos_t
+    return SupportFunction._carrying(vals, body.grid, hp, body.curvature.values,
+                                     tol_convex=body.tol_convex)
 
 
 def rotate(body: SupportFunction, phi: float) -> SupportFunction:
-    """Rotate the body by phi; exact (a roll) when phi is a grid multiple."""
-    spacing = body.grid.spacing
-    shift = phi / spacing
+    """Rotate the body by phi, h(theta - phi); carries h' and h'' + h.
+
+    A grid multiple rolls the three arrays, exactly.  Any other angle shifts
+    the phase of each Fourier mode k by exp(-i k phi), the Nyquist mode being
+    the pure cosine of ``trig_eval`` (its coefficient times cos(n phi / 2)):
+    one rfft of the samples and one three-row irfft, in O(n) memory.
+    """
+    grid = body.grid
+    shift = phi / grid.spacing
     if abs(shift - round(shift)) < 1e-12:
-        vals = np.roll(body.values, int(round(shift)))
+        k = int(round(shift))
+        vals, hp, curv = (np.roll(a, k) for a in
+                          (body.values, body.derivative.values, body.curvature.values))
     else:
-        vals = trig_eval(body.h, body.grid.theta - phi)
-    return SupportFunction(PeriodicSamples(vals, body.grid), tol_convex=body.tol_convex)
+        n = grid.n_points
+        phase = np.exp(-1j * phi * np.arange(n // 2 + 1))
+        phase[-1] = np.cos(phi * (n // 2))
+        coef = np.fft.rfft(body.values) * phase
+        vals, hp, hpp = np.fft.irfft(np.vstack([coef, _multiplier(n, (1, 2)) * coef]), n)
+        curv = hpp + vals
+    return SupportFunction._carrying(vals, grid, hp, curv, tol_convex=body.tol_convex)
 
 
 def scale(body: SupportFunction, lam: float) -> SupportFunction:
+    """The body dilated by lam > 0; carries lam h' and lam (h'' + h)."""
     if lam <= 0.0:
         raise ValueError(f"scale factor must be positive, got {lam}")
-    return SupportFunction(PeriodicSamples(lam * body.values, body.grid))
+    return SupportFunction._carrying(lam * body.values, body.grid, lam * body.derivative.values,
+                                     lam * body.curvature.values)
 
 
 def disk(grid: Grid, radius: float = 1.0, center=(0.0, 0.0)) -> SupportFunction:
+    """The disk of ``radius`` about ``center``; carries h' and its curvature, the radius."""
     t = grid.theta
-    vals = radius + center[0] * np.cos(t) + center[1] * np.sin(t)
-    return from_samples(vals, grid)
+    cos_t, sin_t = np.cos(t), np.sin(t)
+    vals = radius + center[0] * cos_t + center[1] * sin_t
+    hp = center[1] * cos_t - center[0] * sin_t
+    return SupportFunction._carrying(vals, grid, hp, np.full(grid.n_points, float(radius)))
 
 
 def ellipse_body(grid: Grid, r1: float, r2: float, angle: float = 0.0,
                  center=(0.0, 0.0)) -> SupportFunction:
+    """The ellipse with semi-axes r1, r2 turned by ``angle`` about ``center``.
+
+    Differentiated by FFT: its closed-form curvature is not that of the
+    samples' interpolant (see the module docstring).
+    """
     t = grid.theta - angle
     vals = np.sqrt((r1 * np.cos(t)) ** 2 + (r2 * np.sin(t)) ** 2)
     vals += center[0] * np.cos(grid.theta) + center[1] * np.sin(grid.theta)

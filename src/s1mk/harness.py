@@ -32,7 +32,7 @@ from .errors import (
     SingularJacobianError,
     StagnationError,
 )
-from .grid import Grid, PeriodicSamples, diff, diff_rows
+from .grid import Grid, PeriodicSamples, diff
 from .john import containment_report, john, sandwich_c2, sandwich_ratio
 from .measures import (
     ProblemParams,
@@ -125,26 +125,48 @@ def gen_f(kind: str, lam: float, seed, grid: Grid) -> PeriodicSamples:
     return PeriodicSamples(vals, grid)
 
 
+@lru_cache(maxsize=8)
+def _body_basis(grid: Grid) -> np.ndarray:
+    """random_convex_body's trig basis on ``grid``, read-only, shape (3, 2 d, n).
+
+    Rows cos kt, sin kt for k = 1..d = BODY_DEGREE, interleaved, then their
+    first derivatives, then their curvatures (1 - k^2) cos kt, (1 - k^2) sin kt.
+    """
+    t = grid.theta
+    values, deriv, curv = [], [], []
+    for k in range(1, BODY_DEGREE + 1):
+        cos_k, sin_k = np.cos(k * t), np.sin(k * t)
+        values += [cos_k, sin_k]
+        deriv += [-k * sin_k, k * cos_k]
+        curv += [(1 - k * k) * cos_k, (1 - k * k) * sin_k]
+    basis = np.array([values, deriv, curv])
+    basis.setflags(write=False)
+    return basis
+
+
 def random_convex_body(rng, grid: Grid) -> SupportFunction:
     """Random trig support function, resampled until strictly convex.
 
     Candidates come from the stream in blocks of ``CANDIDATE_BLOCK``, in the
     order of one-at-a-time draws, and the first acceptable one is returned;
-    the block's unused draws are consumed from ``rng``.
+    the block's unused draws are consumed from ``rng``.  The acceptance
+    tests read a block's values and curvatures from two products with the
+    cached basis, and the body carries h' and h'' + h from it.  Its values
+    are re-summed mode by mode, in the order of one-at-a-time draws, so they
+    match those draws bit for bit.
     """
-    t = grid.theta
-    waves = [(np.cos(k * t), np.sin(k * t)) for k in range(1, BODY_DEGREE + 1)]
+    values, deriv, curv = _body_basis(grid)
     scale = 0.4 / np.arange(1, BODY_DEGREE + 1) ** 2
     for start in range(0, CANDIDATE_ATTEMPTS, CANDIDATE_BLOCK):
         count = min(CANDIDATE_BLOCK, CANDIDATE_ATTEMPTS - start)
-        coef = rng.standard_normal((count, BODY_DEGREE, 2)) * scale[:, None]
-        h = np.ones((count, len(t)))
-        for k, (cos_k, sin_k) in enumerate(waves):
-            h += coef[:, k, :1] * cos_k + coef[:, k, 1:] * sin_k
-        h = h[h.min(axis=1) > 0.05]
-        convex = np.flatnonzero((diff_rows(h, 2) + h).min(axis=1) > 0.01)
-        if convex.size:
-            return from_samples(h[convex[0]].copy(), grid)
+        coef = (rng.standard_normal((count, BODY_DEGREE, 2)) * scale[:, None]).reshape(count, -1)
+        ok = ((1.0 + coef @ values).min(axis=1) > 0.05) & ((1.0 + coef @ curv).min(axis=1) > 0.01)
+        if ok.any():
+            c = coef[np.argmax(ok)]
+            h = np.ones(grid.n_points)
+            for k in range(BODY_DEGREE):
+                h += c[2 * k] * values[2 * k] + c[2 * k + 1] * values[2 * k + 1]
+            return SupportFunction._carrying(h, grid, c @ deriv, 1.0 + c @ curv)
     raise RuntimeError(
         f"could not draw a convex body in {CANDIDATE_ATTEMPTS} attempts")
 

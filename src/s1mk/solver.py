@@ -429,7 +429,7 @@ def _sequenced(params: ProblemParams, cfg: SolverConfig, coarse: Grid, trace: li
     capped at COARSE_MAX_NEWTON steps.  The polish starts from the body
     prolonged by FFT and solves its Newton steps by ``_krylov_step``, whose
     GMRES iteration counts go to ``krylov``.  Returns the fine-grid
-    (h, h'' + h, residual sup, level gap), or None if the restricted data
+    (h, h', h'' + h, residual sup, level gap), or None if the restricted data
     are not positive, if the coarse answer is too under-resolved to prolong
     (tail ratio above POLISH_TAIL_LIMIT), or once a level raises or ends
     unconverged; the steps taken stay in ``trace``, ``stages`` and
@@ -456,15 +456,15 @@ def _sequenced(params: ProblemParams, cfg: SolverConfig, coarse: Grid, trace: li
     polish = partial(_krylov_step, iterations=[] if krylov is None else krylov)
     before = len(trace)
     try:
-        h, _, curv, res_sup = _newton_stage(*_derivatives(start, f.grid), f.values, p, q,
-                                            cfg, f.grid, trace, 1.0, polish)
+        h, hp, curv, res_sup = _newton_stage(*_derivatives(start, f.grid), f.values, p, q,
+                                             cfg, f.grid, trace, 1.0, polish)
     except (StagnationError, SingularJacobianError):
         res_sup = np.inf
     stages.append(len(trace) - before)
     levels.append((f.grid.n_points, stages[-1]))
     if not res_sup <= cfg.newton_tol:
         return None
-    return h, curv, res_sup, float(np.max(np.abs(h - start)) / np.max(h))
+    return h, hp, curv, res_sup, float(np.max(np.abs(h - start)) / np.max(h))
 
 
 def _tail_ratio(h: np.ndarray) -> float:
@@ -494,7 +494,9 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
     ``tail_ratio`` is max_{k > n/4} |h_k| / |h_0| of the answer's Fourier
     coefficients, a resolution test as in Chebfun's chopping rule, and
     ``level_gap`` is max |h - prolonged coarse answer| / max h when the
-    answer came from a polish.
+    answer came from a polish.  The report's body is not validated and
+    carries the final Newton state's h' and h'' + h, which are ``diff`` of
+    its samples bit for bit.
     """
     cfg = config or SolverConfig()
     p, q, f = params.p, params.q, params.f
@@ -506,8 +508,8 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
     if initial is not None:
         if initial.grid.n_points != grid.n_points:
             raise ValueError("initial body must live on the data grid")
-        h, _, curv, res_sup = _newton_stage(*_derivatives(initial.values.copy(), grid),
-                                            f.values, p, q, cfg, grid, trace, 1.0)
+        h, hp, curv, res_sup = _newton_stage(*_derivatives(initial.values.copy(), grid),
+                                             f.values, p, q, cfg, grid, trace, 1.0)
         stages.append(len(trace))
         levels.append((grid.n_points, len(trace)))
     else:
@@ -518,12 +520,12 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
                 break
         if sequenced is None:
             before = len(trace)
-            h, _, curv, res_sup = _continuation(f, p, q, cfg, 1.0, trace, stages)
+            h, hp, curv, res_sup = _continuation(f, p, q, cfg, 1.0, trace, stages)
             levels.append((grid.n_points, len(trace) - before))
         else:
-            h, curv, res_sup, level_gap = sequenced
+            h, hp, curv, res_sup, level_gap = sequenced
     return SolveReport(
-        body=SupportFunction(PeriodicSamples(h, grid), validate=False),
+        body=SupportFunction._carrying(h, grid, hp, curv, validate=False),
         residual_sup=res_sup,
         iterations=len(trace),
         min_h=float(h.min()),

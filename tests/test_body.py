@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import s1mk
+from s1mk import body as body_module
 from s1mk import (
     Grid,
     NegativeSupportError,
@@ -34,6 +36,7 @@ from s1mk import (
     to_json,
     translate,
 )
+from s1mk.grid import diff, trig_eval
 
 ELLIPSE21_PERIMETER = 9.688448220547677  # arc length of (2 cos t, sin t)
 
@@ -206,12 +209,89 @@ class TestTransforms:
         exact = ellipse_body(grid256, 2.0, 1.0, angle=phi)
         assert np.max(np.abs(rot.values - exact.values)) < 1e-10
 
+    def test_rotate_is_the_interpolant_shifted(self):
+        # a large Nyquist mode, which the phase shift treats as trig_eval's
+        # pure cosine
+        g = Grid(64)
+        body = from_samples(1.0 + 1e-4 * np.cos(32 * g.theta) + 0.1 * np.sin(3 * g.theta), g)
+        for phi in (0.3, -1.1, 2.5):
+            rot = rotate(body, phi)
+            assert np.max(np.abs(rot.values - trig_eval(body.h, g.theta - phi))) < 1e-14
+
+    def test_rotate_memory_is_linear_in_n(self):
+        # evaluating the interpolant at n shifted angles takes two n x n/2
+        # cos and sin tables, 33.6 MB at n = 2048
+        body = s1mk.random_convex_body(np.random.default_rng(1), Grid(2048))
+        tracemalloc.start()
+        try:
+            rotate(body, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_scale(self, ellipse21):
         s = scale(ellipse21, 2.5)
         assert np.max(np.abs(s.values - 2.5 * ellipse21.values)) < 1e-12
         assert area(s) == pytest.approx(2.5**2 * area(ellipse21), rel=1e-12)
         with pytest.raises(ValueError):
             scale(ellipse21, -1.0)
+
+
+def _no_diff(*args):
+    raise AssertionError("a carrying construction differentiated its samples")
+
+
+class TestCarriedDerivatives:
+    """Constructions that commute with Fourier differentiation carry h' and
+    h'' + h; the carried arrays equal ``diff`` of the samples to roundoff."""
+
+    CONSTRUCTIONS = ("disk", "minkowski_sum", "scale", "translate", "rotate_roll",
+                     "rotate_phase", "random_convex_body")
+
+    @staticmethod
+    def _build(name, grid):
+        ell = ellipse_body(grid, 2.0, 1.0)
+        rnd = s1mk.random_convex_body(np.random.default_rng(5), grid)
+        for operand in (ell, rnd):
+            operand.curvature  # differentiated before the construction runs
+        builders = {
+            "disk": lambda: disk(grid, 1.5, center=(0.3, -0.2)),
+            "minkowski_sum": lambda: minkowski_sum(ell, rnd, 0.7),
+            "scale": lambda: scale(rnd, 2.5),
+            "translate": lambda: translate(ell, (0.2, -0.4)),
+            "rotate_roll": lambda: rotate(rnd, 5 * grid.spacing),
+            "rotate_phase": lambda: rotate(ell, 0.3),
+            "random_convex_body":
+                lambda: s1mk.random_convex_body(np.random.default_rng(6), grid),
+        }
+        return builders[name]
+
+    @pytest.mark.parametrize("n", [64, 256, 512])
+    @pytest.mark.parametrize("name", CONSTRUCTIONS)
+    def test_carried_arrays_are_diff_to_roundoff(self, monkeypatch, name, n):
+        build = self._build(name, Grid(n))
+        with monkeypatch.context() as patch:
+            patch.setattr(body_module, "diff", _no_diff)
+            body = build()
+            hp, curv = body.derivative.values, body.curvature.values
+        ref_hp, ref_hpp = diff(body.h, (1, 2))
+        tol = 1e-9 * float(body.values.max())
+        assert np.max(np.abs(hp - ref_hp.values)) <= tol
+        assert np.max(np.abs(curv - (ref_hpp.values + body.values))) <= tol
+
+    def test_carried_bodies_are_validated(self, grid256):
+        # h'' + h = 1 - 1.5 cos(2t) dips below zero; minkowski_sum's t < 0 is
+        # checked by test_minkowski_scaling_parameter
+        bent = SupportFunction(PeriodicSamples(1.0 + 0.5 * np.cos(2 * grid256.theta), grid256),
+                               validate=False)
+        for construct in (lambda: minkowski_sum(bent, disk(grid256), 0.1),
+                          lambda: scale(bent, 2.0), lambda: translate(bent, (0.1, 0.0)),
+                          lambda: rotate(bent, 0.3)):
+            with pytest.raises(NonconvexError):
+                construct()
+        with pytest.raises(NegativeSupportError):
+            translate(disk(grid256), (1.5, 0.0))
 
 
 class TestSerialization:

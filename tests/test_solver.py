@@ -25,7 +25,8 @@ from s1mk import (
     solve,
     solver,
 )
-from s1mk.grid import diff_matrix, resample, restrict
+from s1mk import body as body_module
+from s1mk.grid import diff, diff_matrix, resample, restrict
 from s1mk.measures import lp_dual_kernel
 
 
@@ -395,6 +396,22 @@ class TestReport:
         d = report_to_dict(rep, include_trace=True)
         assert isinstance(d["trace"], list)
 
+    # n = 64 continues on the data grid, n = 256 and 512 polish a coarse
+    # answer, and an explicit start runs Newton from it
+    @pytest.mark.parametrize("n, start", [(64, False), (256, False), (512, False),
+                                          (256, True)])
+    def test_body_carries_the_final_newton_state(self, monkeypatch, n, start):
+        params = _params(0.5, 3.0, Grid(n), seed=1)
+        rep = solve(params, disk(params.f.grid) if start else None)
+        hp, hpp = diff(rep.body.h, (1, 2))
+
+        def no_diff(*args):
+            raise AssertionError("the report body differentiated its samples")
+
+        monkeypatch.setattr(body_module, "diff", no_diff)
+        assert np.array_equal(rep.body.derivative.values, hp.values)
+        assert np.array_equal(rep.body.curvature.values, hpp.values + rep.body.values)
+
 
 # The bench's solve-large cases (n, kind, p, q), all sequenced.
 SOLVE_LARGE_CASES = ((512, "trig", 0.5, 3.0), (512, "bump", 3.0, 2.0),
@@ -491,8 +508,8 @@ class TestSequencing:
         # again from n = 256, whose n = 512 polish succeeds
         attempt = solve(ProblemParams(0.5, 3.0, restrict(params.f, Grid(128))))
         trace, stages, levels = [], [], []
-        h_ref, _, res_sup, gap = solver._sequenced(params, SolverConfig(), Grid(256),
-                                                   trace, stages, levels)
+        h_ref, _, _, res_sup, gap = solver._sequenced(params, SolverConfig(), Grid(256),
+                                                      trace, stages, levels)
         abandoned = len(rep.trace) - len(trace)
         assert rep.converged and rep.level_gap == gap
         assert rep.levels[:2] == [(128, attempt.iterations), (512, 1)]
