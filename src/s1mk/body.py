@@ -34,7 +34,8 @@ from .errors import (
     OriginOnBoundaryError,
     ParameterRangeError,
 )
-from .grid import Grid, PeriodicSamples, _multiplier, diff, integrate, resample, trig_eval
+from .grid import (Grid, PeriodicSamples, _multiplier, diff, integrate, resample, tail_ratio,
+                   trig_eval)
 
 
 def convexity_tol(values: np.ndarray) -> float:
@@ -96,7 +97,8 @@ class SupportFunction:
             what = (f"{curv[j]:.6e} < -{self.tol_convex:.1e}" if np.isfinite(curv[j])
                     else "non-finite")
             raise NonconvexError(
-                f"curvature density {what} at theta = {self.h.theta[j]:.6f}",
+                f"curvature density {what} at theta = {self.h.theta[j]:.6f}"
+                f" (samples' Fourier tail ratio {tail_ratio(vals):.1e})",
                 theta=float(self.h.theta[j]),
                 value=float(curv[j]),
             )

@@ -108,6 +108,16 @@ def diff_rows(values: np.ndarray, order: int | tuple) -> np.ndarray:
     return np.fft.irfft(_multiplier(n, order) * vh, n)
 
 
+def tail_ratio(values: np.ndarray) -> float:
+    """max_{k > n/4} |c_k| / |c_0| over the rfft coefficients of n samples.
+
+    Near roundoff when the grid resolves the sampled function, as in
+    Chebfun's chopping rule; large when its upper half of modes is not small.
+    """
+    coef = np.abs(np.fft.rfft(values))
+    return float(coef[values.shape[0] // 4 + 1:].max() / coef[0])
+
+
 def integrate(samples: PeriodicSamples) -> float:
     """Trapezoid rule over one period."""
     return float(samples.values.sum() * samples.grid.spacing)

@@ -376,10 +376,9 @@ def _uniqueness_instance(cfg: ExperimentConfig, eps: float, seed, grid: Grid) ->
         else:
             failures += 1
 
-    max_pair = 0.0
-    for i in range(len(limits)):
-        for j in range(i + 1, len(limits)):
-            max_pair = max(max_pair, float(np.max(np.abs(limits[i] - limits[j]))))
+    # rounding is monotone, so the largest pairwise |difference| at each
+    # angle is exactly the rounded max minus min
+    max_pair = float(np.ptp(np.array(limits), axis=0).max()) if limits else 0.0
     min_h = min((float(v.min()) for v in limits), default=float("nan"))
     return {
         "proxy": eps,

@@ -24,27 +24,26 @@ from one ``diff`` call of order (1, 2).
 On a grid of n >= 2 COARSE_N points without an explicit start, ``solve``
 first works on two grids (Xu, SIAM J. Numer. Anal. 33, 1996): it restricts
 f to COARSE_N points by Fourier truncation, runs there only the direct
-attempt, capped at COARSE_MAX_NEWTON steps, prolongs the body to the full
-grid by FFT zero-padding and polishes it with Newton to the same tolerance,
-measured on that grid.  The polish is Jacobian-free Newton-Krylov (Knoll
-and Keyes, J. Comput. Phys. 193, 2004): GMRES (Saad and Schultz, SIAM J.
-Sci. Stat. Comput. 7, 1986) on J applied by FFTs, preconditioned by its
-constant-coefficient part.  GMRES is written out in ``_gmres`` because
-scipy's Python ``gmres`` cost more per call and per iteration than the FFT
-products it applies.  The smooth solutions need far fewer modes than a
-large grid carries, so the polish usually takes 0-3 steps.  If the coarse
-answer is too under-resolved to prolong, or either level raises or ends
-unconverged, ``solve`` runs the two levels again from 2 COARSE_N points with
-the whole policy above (for n > 2 COARSE_N), and if that fails too, the full
-grid by that policy from the constant start; the abandoned steps stay in
-the trace.
+attempt, prolongs the body to the full grid by FFT zero-padding and polishes
+it with Newton to the same tolerance, measured on that grid.  The polish is
+Jacobian-free Newton-Krylov (Knoll and Keyes, J. Comput. Phys. 193, 2004):
+GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) on J applied
+by FFTs, preconditioned by its constant-coefficient part.  GMRES is written
+out in ``_gmres`` because scipy's Python ``gmres`` cost more per call and
+per iteration than the FFT products it applies.  The smooth solutions need
+far fewer modes than a large grid carries, so the polish usually takes 0-3
+steps.  Each level is judged by its own Newton outcome: if either raises or
+ends unconverged, ``solve`` runs the two levels again from 2 COARSE_N points
+with the whole policy above (for n > 2 COARSE_N), and if that fails too, the
+full grid by that policy from the constant start; the abandoned steps stay
+in the trace.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -52,7 +51,8 @@ from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .body import SupportFunction, convexity_tol
 from .errors import ParameterRangeError, SingularJacobianError, StagnationError
-from .grid import Grid, PeriodicSamples, _multiplier, diff, diff_matrix, resample, restrict
+from .grid import (Grid, PeriodicSamples, _multiplier, diff, diff_matrix, resample, restrict,
+                   tail_ratio)
 from .measures import ProblemParams, _lp_factor, lp_dual_kernel, singular_floor
 
 RCOND_LIMIT = 1e-14
@@ -62,11 +62,6 @@ MIN_STEP = 1.0 / 32
 # Coarse grid of the two-grid solve: n = 256 and up do their dense Newton
 # steps at n = 128, and at 256 only if that fails.
 COARSE_N = 128
-# Newton steps of the direct attempt on the COARSE_N level, which never
-# continues.  At lambda = 2 the attempt converged in 4-7 steps in
-# 90 of 90 cases from n = 256 to 1024; an attempt that fails stops here
-# instead of running up to max_newton steps before the fallback.
-COARSE_MAX_NEWTON = 8
 # Smallest line-search damping before a Newton stage gives up.
 DAMPING_MIN = 1e-4
 # GMRES on the polish levels: relative residual, restart length and restart
@@ -78,12 +73,6 @@ DAMPING_MIN = 1e-4
 KRYLOV_RTOL = 1e-6
 KRYLOV_RESTART = 60
 KRYLOV_CYCLES = 2
-# Largest tail ratio of a level's answer that is prolonged and polished.  At
-# n = 512, lambda = 5, every polish that failed started from a coarse tail of
-# 2.7e-5 or more; the tails of successful ones reached 1.8e-5.  Bump data at
-# (0.5, 3) have coarse tails near 2e-7 and polish in 1-2 steps, far cheaper
-# than the dense fallback.
-POLISH_TAIL_LIMIT = 1e-5
 
 _GECON, _LANGE, _TRTRS = get_lapack_funcs(("gecon", "lange", "trtrs"), (np.empty((2, 2)),))
 
@@ -425,13 +414,12 @@ def _sequenced(params: ProblemParams, cfg: SolverConfig, coarse: Grid, trace: li
     """Solve on the ``coarse`` grid, then a Newton-Krylov polish on the data grid.
 
     The coarse level runs ``_continuation`` with dense LU on the data
-    restricted to it; below 2 COARSE_N points only its direct attempt,
-    capped at COARSE_MAX_NEWTON steps.  The polish starts from the body
-    prolonged by FFT and solves its Newton steps by ``_krylov_step``, whose
-    GMRES iteration counts go to ``krylov``.  Returns the fine-grid
-    (h, h', h'' + h, residual sup, level gap), or None if the restricted data
-    are not positive, if the coarse answer is too under-resolved to prolong
-    (tail ratio above POLISH_TAIL_LIMIT), or once a level raises or ends
+    restricted to it; below 2 COARSE_N points only its direct attempt.  The
+    polish starts from the body prolonged by FFT and solves its Newton steps
+    by ``_krylov_step``, whose GMRES iteration counts go to ``krylov``; a
+    polish whose first step cannot be preconditioned fails in 0 steps.
+    Returns the fine-grid (h, h', h'' + h, residual sup, level gap), or None
+    if the restricted data are not positive or once a level raises or ends
     unconverged; the steps taken stay in ``trace``, ``stages`` and
     ``levels`` either way.
     """
@@ -439,18 +427,14 @@ def _sequenced(params: ProblemParams, cfg: SolverConfig, coarse: Grid, trace: li
     coarse_f = restrict(f, coarse)
     if float(coarse_f.values.min()) <= 0.0:
         return None
-    coarse_cfg, min_step = cfg, MIN_STEP
-    if coarse.n_points < 2 * COARSE_N:
-        coarse_cfg = replace(cfg, max_newton=min(cfg.max_newton, COARSE_MAX_NEWTON))
-        min_step = 1.0
+    min_step = 1.0 if coarse.n_points < 2 * COARSE_N else MIN_STEP
     before = len(trace)
     try:
-        h, _, _, res_sup = _continuation(coarse_f, p, q, coarse_cfg, 1.0, trace, stages,
-                                         min_step)
+        h, _, _, res_sup = _continuation(coarse_f, p, q, cfg, 1.0, trace, stages, min_step)
     except (StagnationError, SingularJacobianError):
         res_sup = np.inf
     levels.append((coarse.n_points, len(trace) - before))
-    if not res_sup <= cfg.newton_tol or _tail_ratio(h) > POLISH_TAIL_LIMIT:
+    if not res_sup <= cfg.newton_tol:
         return None
     start = resample(PeriodicSamples(h, coarse), f.grid).values
     polish = partial(_krylov_step, iterations=[] if krylov is None else krylov)
@@ -467,11 +451,6 @@ def _sequenced(params: ProblemParams, cfg: SolverConfig, coarse: Grid, trace: li
     return h, hp, curv, res_sup, float(np.max(np.abs(h - start)) / np.max(h))
 
 
-def _tail_ratio(h: np.ndarray) -> float:
-    coef = np.abs(np.fft.rfft(h))
-    return float(coef[h.shape[0] // 4 + 1:].max() / coef[0])
-
-
 def solve(params: ProblemParams, initial: SupportFunction | None = None,
           config: SolverConfig | None = None) -> SolveReport:
     """Damped Newton on f, with continuation from constant data if that fails.
@@ -481,11 +460,10 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
     data are ramped from mean(f) to f in stages whose step is halved on
     failure; the trace, iterations and stage_iterations keep every attempt.
     On a grid of at least 2 COARSE_N points, ``_sequenced`` first runs the
-    direct attempt alone, capped at COARSE_MAX_NEWTON steps, on COARSE_N
-    points, and polishes its answer on the full grid.  If either level
-    fails, it runs again from 2 COARSE_N points with this policy, if the
-    grid is finer than that; only if that fails too, or is not tried, does
-    the policy run on the full grid.
+    direct attempt alone on COARSE_N points and polishes its answer on the
+    full grid.  If either level fails, it runs again from 2 COARSE_N points
+    with this policy, if the grid is finer than that; only if that fails
+    too, or is not tried, does the policy run on the full grid.
     An explicit ``initial`` means direct Newton from that body on the full
     grid with no fallback: errors propagate and an unconverged run is
     returned with ``converged=False``.
@@ -534,7 +512,7 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
         stage_iterations=stages,
         trace=trace,
         levels=levels,
-        tail_ratio=_tail_ratio(h),
+        tail_ratio=tail_ratio(h),
         level_gap=level_gap,
         krylov_iterations=sum(krylov),
     )

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 import warnings
 
@@ -41,6 +42,12 @@ from s1mk.grid import diff, trig_eval
 ELLIPSE21_PERIMETER = 9.688448220547677  # arc length of (2 cos t, sin t)
 
 
+def _message_tail_ratio(error) -> float:
+    match = re.search(r"Fourier tail ratio (\S+)\)", str(error))
+    assert match, str(error)
+    return float(match.group(1))
+
+
 class TestValidation:
     def test_negative_support_rejected(self):
         g = Grid(64)
@@ -53,6 +60,17 @@ class TestValidation:
         with pytest.raises(NonconvexError) as exc:
             from_samples(1.0 + 0.5 * np.cos(2 * g.theta), g)
         assert exc.value.value < 0
+        # a resolved trig polynomial: its Fourier tail is at roundoff
+        assert _message_tail_ratio(exc.value) < 1e-12
+
+    def test_under_resolved_ellipse_names_its_tail(self):
+        # an aspect-100 ellipse is convex, but its interpolant on 256 or 512
+        # samples is not; the error reports how unresolved the samples are
+        for n, tail in ((256, 1.8e-4), (512, 2.9e-5)):
+            with pytest.raises(NonconvexError) as exc:
+                ellipse_body(Grid(n), 1.0, 0.01)
+            assert exc.value.value < 0
+            assert _message_tail_ratio(exc.value) == pytest.approx(tail, rel=0.05), n
 
     def test_tol_override_accepts_marginal_body(self):
         g = Grid(64)
@@ -180,6 +198,20 @@ class TestArithmetic:
     def test_p_sum_rejects_p_below_one(self, grid256):
         with pytest.raises(ParameterRangeError):
             p_sum(disk(grid256), disk(grid256), 1.0, 0.5)
+
+    def test_p_sum_rejects_negative_scale_and_nonpositive_support(self, grid256):
+        with pytest.raises(ValueError, match="nonnegative"):
+            p_sum(disk(grid256), disk(grid256), -0.5, 2.0)
+        # the unit disk about (1, 0) has support 0 at theta = pi
+        touching = disk(grid256, 1.0, center=(1.0, 0.0))
+        for k, l in ((touching, disk(grid256)), (disk(grid256), touching)):
+            with pytest.raises(ValueError, match="strictly positive"):
+                p_sum(k, l, 0.5, 2.0)
+
+    def test_cross_grid_p_sum_resamples(self, grid256):
+        s = p_sum(disk(grid256, 1.0), disk(Grid(64), 2.0), 0.5, 2.0)
+        assert s.grid == grid256
+        assert np.max(np.abs(s.values - np.sqrt(1.0 + 0.5 * 4.0))) < 1e-12
 
     def test_cross_grid_sum_resamples(self, ellipse21):
         d = disk(Grid(64))

@@ -228,6 +228,16 @@ class TestVerifyVariational:
 
 
 class TestSweepCommand:
+    def test_sandwich(self, tmp_path, capsys):
+        code = main(["sweep", "sandwich", "--p", "0.5", "--q", "2",
+                     "--samples", "2", "--grid", "64", "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "sandwich_summary.json").read_text())
+        out = capsys.readouterr().out
+        assert f"ratio_min={summary['ratio_min']:.6g}" in out
+        assert f"upper_violations={summary['upper_violations']}" in out
+        assert (tmp_path / "sandwich.csv").exists()
+
     def test_maxprinciple(self, tmp_path, capsys):
         code = main(["sweep", "maxprinciple", "--p", "3", "--q", "2",
                      "--samples", "2", "--grid", "128",
@@ -342,6 +352,27 @@ class TestConfigHandling:
             code = main(["solve", "--p", "0.5", "--q", "2", "--f-const", "1",
                          "--config", str(cfg), "--out", str(tmp_path)])
             assert code == 64, key
+
+    @pytest.mark.parametrize("data, message", [
+        ([1.0, 2.0], "must hold a JSON object"),
+        ({"solver": [1e-8]}, "'solver' must hold a JSON object"),
+    ])
+    def test_config_shape(self, tmp_path, capsys, data, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        code = main(["solve", "--p", "0.5", "--q", "2", "--f-const", "1", "--grid", "64",
+                     "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 64 and message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["john", "body.json", "--center", "1"],
+        ["john", "body.json", "--center", "a,b"],
+        ["sweep", "uniqueness", "--p", "0.5", "--q", "2", "--eps", "0.1,x"],
+    ])
+    def test_bad_flag_values(self, argv):
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 64
 
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -264,6 +264,10 @@ class TestRunDiameter:
         with pytest.raises(ParameterRangeError):
             run_diameter(ExperimentConfig(kind="diameter", p=1.0, q=2.0,
                                           out_dir=str(tmp_path)))
+        with pytest.raises(ParameterRangeError, match="q >= 2"):
+            run_diameter(ExperimentConfig(kind="diameter", p=0.5, q=1.5,
+                                          out_dir=str(tmp_path)))
+        assert not list(tmp_path.iterdir())
 
 
 class TestRunUniqueness:
@@ -282,6 +286,12 @@ class TestRunUniqueness:
     def test_requires_q_two(self, tmp_path):
         with pytest.raises(ParameterRangeError):
             run_uniqueness(ExperimentConfig(kind="uniqueness", p=0.5, q=3.0,
+                                            out_dir=str(tmp_path)))
+
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1.5])
+    def test_requires_p_in_open_unit_interval(self, tmp_path, p):
+        with pytest.raises(ParameterRangeError, match="p in \\(0, 1\\)"):
+            run_uniqueness(ExperimentConfig(kind="uniqueness", p=p, q=2.0,
                                             out_dir=str(tmp_path)))
 
 

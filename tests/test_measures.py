@@ -4,6 +4,7 @@ import pytest
 import s1mk
 from s1mk import (
     Grid,
+    OriginOnBoundaryError,
     ParameterRangeError,
     PeriodicSamples,
     ProblemParams,
@@ -66,6 +67,23 @@ class TestDensities:
         with pytest.raises(SingularDensityError):
             lp_surface_density(body, 2.0)
 
+    def test_lp_dual_below_q2(self, grid256):
+        # a disk of radius r about c: h'' + h = r, and the speed factor
+        # (h^2 + h'^2)^(1/2) is |c + r u|, the distance to the boundary point
+        r, c = 1.5, np.array([0.3, -0.2])
+        body = disk(grid256, r, center=tuple(c))
+        u = np.stack([np.cos(grid256.theta), np.sin(grid256.theta)])
+        dist = np.linalg.norm(c[:, None] + r * u, axis=0)
+        for p, q in ((0.5, 1.0), (0.0, 1.5)):
+            dens = lp_dual_density(body, p, q).density.values
+            expected = body.values ** (1 - p) * dist ** (q - 2) * r
+            assert np.max(np.abs(dens - expected)) <= 1e-12 * np.max(expected), (p, q)
+
+    def test_lp_dual_below_q2_singular_where_boundary_meets_origin(self, grid256):
+        body = disk(grid256, 1.0, center=(1.0, 0.0))
+        with pytest.raises(SingularDensityError, match="boundary meets the origin"):
+            lp_dual_density(body, 0.5, 1.0)
+
     def test_scaling_laws(self, grid256):
         body = s1mk.random_convex_body(np.random.default_rng(2), grid256)
         big = scale(body, 1.7)
@@ -109,6 +127,10 @@ class TestDualVolume:
     def test_rejects_q_zero(self, unit_disk):
         with pytest.raises(ParameterRangeError):
             dual_volume(unit_disk, 0.0)
+
+    def test_rejects_origin_on_boundary(self, grid256):
+        with pytest.raises(OriginOnBoundaryError):
+            dual_volume(disk(grid256, 1.0, center=(1.0, 0.0)), 2.0)
 
 
 class TestProblemParams:

@@ -346,7 +346,7 @@ class TestSolve:
         assert rep.converged and rep.residual_sup <= 1e-10
         k = rep.levels[0][1]
         assert rep.levels == [(128, k), (256, len(trace))]
-        assert 0 < k <= solver.COARSE_MAX_NEWTON
+        assert 0 < k <= SolverConfig().max_newton
         assert all(entry[0] == 1.0 for entry in rep.trace[:k])
         _same_report(rep, h, rep.trace[:k] + trace, [k] + stages, res_sup)
         assert rep.level_gap is None and rep.krylov_iterations == 0
@@ -549,23 +549,33 @@ class TestSequencing:
                               (512, 0), (512, len(fine_trace))]
         assert np.array_equal(rep.body.values, h_fine)
 
-    def test_under_resolved_coarse_answer_is_not_polished(self):
-        # lambda = 5 trig data at (0.5, 2): the capped n = 128 attempt does
-        # not converge, and the n = 256 answer has a tail ratio near 3e-5,
-        # from which the n = 512 polish fails, so solve goes from the n = 256
-        # level straight to the full grid
+    def test_under_resolved_coarse_answer_fails_its_polish(self):
+        # lambda = 5 trig data at (0.5, 2): the n = 128 and n = 256 answers
+        # converge, but each n = 512 polish fails its preconditioner check
+        # before a GMRES iteration, in 0 steps, so solve ends on the full grid
         params = _params(0.5, 2.0, Grid(512), seed=4, lam=5.0)
-        coarse = solve(ProblemParams(0.5, 2.0, restrict(params.f, Grid(256))))
-        assert coarse.tail_ratio > solver.POLISH_TAIL_LIMIT
-        assert coarse.levels[0] == (128, solver.COARSE_MAX_NEWTON) and len(coarse.levels) == 2
         rep = solve(params)
         h_fine, fine_trace, _, _ = _continued(params)
         assert rep.converged and rep.level_gap is None and rep.krylov_iterations == 0
-        assert rep.levels == coarse.levels + [(512, len(fine_trace))]
-        # from n = 256 on; the n = 128 data are restricted from different grids
-        k = coarse.levels[0][1]
-        assert rep.trace[k:] == coarse.trace[k:] + fine_trace
+        assert rep.levels == [(128, 14), (512, 0), (256, 15), (512, 0), (512, 16)]
+        assert rep.trace[-16:] == fine_trace
         assert np.array_equal(rep.body.values, h_fine)
+
+    def test_prolonged_n256_answer_polishes(self):
+        # a solve-large timed case whose n = 256 answer has a tail ratio near
+        # 1.3e-5: its n = 512 polish converges, to the body dense Newton
+        # reaches from the same prolonged start
+        f = gen_f("piecewise", 2.0, np.random.SeedSequence([1406, 59, 2]), Grid(512))
+        params = ProblemParams(0.5, 2.0, f, lam=2.0)
+        rep = solve(params)
+        h_coarse = _continued(ProblemParams(0.5, 2.0, restrict(f, Grid(256))))[0]
+        start = resample(PeriodicSamples(h_coarse, Grid(256)), Grid(512))
+        ref = solve(params, initial=SupportFunction(start, validate=False))
+        assert rep.converged and ref.converged
+        assert [n for n, _ in rep.levels] == [128, 512, 256, 512]
+        assert rep.level_gap is not None and rep.krylov_iterations > 0
+        gap = np.max(np.abs(rep.body.values - ref.body.values))
+        assert gap <= 1e-11 * np.max(ref.body.values), gap
 
     def test_n256_matches_fine_path(self, grid256):
         # criterion 7's first three trig samples, then the lambda = 2 slice
