@@ -12,9 +12,11 @@ instead: ``minkowski_sum`` on a common grid, ``scale``, ``translate`` (a
 degree-1 term has zero curvature), ``rotate`` and ``disk``, and the
 harness's random trig bodies.  A carried array equals ``diff`` of the
 samples up to spectral roundoff, and the body is validated on it as on a
-computed one.  ``from_samples`` differentiates, and so do the constructions
-that do not commute: ``p_sum``, which is nonlinear, ``minkowski_sum`` across
-grids, which resamples, and ``ellipse_body``.  An ellipse's samples are not
+computed one.  The solver's Newton states and line-search trials carry the
+arrays of the solver's own ``diff`` call, bit for bit.  ``from_samples``
+differentiates, and so do the constructions that do not commute:
+``p_sum``, which is nonlinear, ``minkowski_sum`` across grids, which
+resamples, and ``ellipse_body``.  An ellipse's samples are not
 a trig polynomial, so its closed-form curvature is not that of the
 interpolant: at aspect 100 they differ by 0.58 max h at n = 1024 and 8e-8
 max h at n = 4096, and at n = 256 the interpolant is not convex.
@@ -79,9 +81,8 @@ class SupportFunction:
         # written as "not >=" so that NaN, which argmin returns first, fails
         if not vals[i] >= 0.0:
             what = f"{vals[i]:.3e} < 0" if np.isfinite(vals[i]) else "non-finite"
-            raise NegativeSupportError(
-                f"support value {what} at theta = {self.h.theta[i]:.6f}"
-            )
+            raise NegativeSupportError(f"support value {what} at theta = {self.h.theta[i]:.6f}",
+                                       theta=float(self.h.theta[i]), value=float(vals[i]))
         # an infinite support value would leave NaN everywhere in the curvature
         k = int(np.argmax(vals))
         if vals[k] == np.inf:

@@ -1,17 +1,21 @@
 """Exception types shared across the package."""
 
 
-class NegativeSupportError(ValueError):
-    """Support samples dipped below zero; bodies here must contain the origin."""
-
-
-class NonconvexError(ValueError):
-    """Curvature density h'' + h fell below -tol_convex somewhere."""
+class _SampleError(ValueError):
+    """A body's samples break an invariant at angle ``theta``, where they read ``value``."""
 
     def __init__(self, message, theta=None, value=None):
         super().__init__(message)
         self.theta = theta
         self.value = value
+
+
+class NegativeSupportError(_SampleError):
+    """Support samples dipped below zero; bodies here must contain the origin."""
+
+
+class NonconvexError(_SampleError):
+    """Curvature density h'' + h fell below -tol_convex somewhere."""
 
 
 class OriginOnBoundaryError(ValueError):

@@ -8,8 +8,8 @@ density minus the data,
 discretized spectrally on the grid of f and evaluated by the density kernel of
 ``measures``.  Its exact Frechet derivative is J v = A v'' + B v' + C v, with
 coefficients from ``_jacobian_coefficients``.  Each Newton stage backtracks on
-the Euclidean residual norm, rejecting any step that leaves the cone of
-nonnegative convex support functions.
+the Euclidean residual norm.  Its iterates and trials are bodies carrying h'
+and h'' + h; a trial that fails the body's validation is rejected.
 
 ``solve`` first runs Newton on f from mean(f)^(1/(q-p)), which solves the
 constant data mean(f).  Only if that fails does it continue along the data
@@ -19,7 +19,7 @@ Introduction to Numerical Continuation Methods, SIAM 2003).  These stages,
 and Newton from an explicit start, assemble J as a dense matrix in Fortran
 order from ``diff_matrix``'s Fortran-ordered matrices and solve it by LU in
 place with a LAPACK condition estimate.  Each Newton state takes h' and h''
-from one ``diff`` call of order (1, 2).
+from one ``diff`` call of order (1, 2), made by ``_state``.
 
 On a grid of n >= 2 COARSE_N points without an explicit start, ``solve``
 first works on two grids (Xu, SIAM J. Numer. Anal. 33, 1996): it restricts
@@ -43,14 +43,16 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
-from .body import SupportFunction, convexity_tol
-from .errors import ParameterRangeError, SingularJacobianError, StagnationError
+from .body import SupportFunction
+from .errors import (NegativeSupportError, NonconvexError, ParameterRangeError,
+                     SingularJacobianError, StagnationError)
 from .grid import (Grid, PeriodicSamples, _multiplier, diff, diff_matrix, resample, restrict,
                    tail_ratio)
 from .measures import ProblemParams, _lp_factor, lp_dual_kernel, singular_floor
@@ -114,17 +116,20 @@ def residual(body: SupportFunction, params: ProblemParams) -> PeriodicSamples:
     """Equation residual F(h): the lp_dual density of the body minus the data."""
     if body.grid.n_points != params.f.grid.n_points:
         raise ValueError("body and data must share a grid")
-    vals = lp_dual_kernel(body.values, body.derivative.values, body.curvature.values,
-                          params.p, params.q)
-    return PeriodicSamples(vals - params.f.values, body.grid)
+    return PeriodicSamples(_density(body, params.p, params.q) - params.f.values, body.grid)
 
 
-def _jacobian_coefficients(h: np.ndarray, hp: np.ndarray, curv: np.ndarray,
-                           p: float, q: float):
+def _density(body: SupportFunction, p: float, q: float) -> np.ndarray:
+    """The lp_dual density of a body, from its cached h' and h'' + h."""
+    return lp_dual_kernel(body.values, body.derivative.values, body.curvature.values, p, q)
+
+
+def _jacobian_coefficients(body: SupportFunction, p: float, q: float):
     """Coefficients (A, B, C) of the Frechet derivative J v = A v'' + B v' + C v.
 
     B is None for q = 2, where the density does not depend on h'.
     """
+    h, hp, curv = body.values, body.derivative.values, body.curvature.values
     lp, active = _lp_factor(h, p)
     # lp_prime is the coefficient (1-p) h^(-p) of the zeroth-order term; it
     # vanishes where the factor does not vary with h.
@@ -141,15 +146,14 @@ def _jacobian_coefficients(h: np.ndarray, hp: np.ndarray, curv: np.ndarray,
     return t3, t2 * hp, lp_prime * wfac * curv + t2 * h + t3
 
 
-def _jacobian_matrix(h: np.ndarray, hp: np.ndarray, curv: np.ndarray,
-                     p: float, q: float, grid: Grid) -> np.ndarray:
-    a, b, c = _jacobian_coefficients(h, hp, curv, p, q)
+def _jacobian_matrix(body: SupportFunction, p: float, q: float) -> np.ndarray:
+    a, b, c = _jacobian_coefficients(body, p, q)
     # Fortran order, like diff_matrix, so that LAPACK factors it in place
     # and no product is a strided or C-ordered temporary
-    mat = np.multiply(a[:, None], diff_matrix(grid, 2), order="F")
+    mat = np.multiply(a[:, None], diff_matrix(body.grid, 2), order="F")
     if b is not None:
-        mat += np.multiply(b[:, None], diff_matrix(grid, 1), order="F")
-    idx = np.arange(h.shape[0])
+        mat += np.multiply(b[:, None], diff_matrix(body.grid, 1), order="F")
+    idx = np.arange(a.shape[0])
     mat[idx, idx] += c
     return mat
 
@@ -173,8 +177,7 @@ def _fft_jacobian(a: np.ndarray, b: np.ndarray | None, c: np.ndarray):
 
 def jacobian(body: SupportFunction, params: ProblemParams) -> np.ndarray:
     """Dense Frechet derivative DF(h) on grid values."""
-    return _jacobian_matrix(body.values, body.derivative.values, body.curvature.values,
-                            params.p, params.q, body.grid)
+    return _jacobian_matrix(body, params.p, params.q)
 
 
 def linearized_spectrum(p: float, k_max: int = 16) -> LinearizedSpectrum:
@@ -191,9 +194,9 @@ def linearized_spectrum(p: float, k_max: int = 16) -> LinearizedSpectrum:
     return LinearizedSpectrum(p, shifted, bool(np.min(np.abs(shifted)) > 1e-12))
 
 
-def _dense_step(h, hp, curv, r, p, q, grid: Grid) -> np.ndarray:
+def _dense_step(state: SupportFunction, r, p, q) -> np.ndarray:
     """Newton step J s = -r by dense LU, checked by a LAPACK condition estimate."""
-    jac = _jacobian_matrix(h, hp, curv, p, q, grid)
+    jac = _jacobian_matrix(state, p, q)
     anorm = float(_LANGE("1", jac))  # no |jac| temporary, unlike np.linalg.norm
     with warnings.catch_warnings():
         # an exactly zero pivot fails the condition check below
@@ -226,7 +229,7 @@ def _fft_preconditioner(a: np.ndarray, b: np.ndarray | None, c: np.ndarray):
     return lambda v: np.fft.irfft(np.fft.rfft(v / a) / symbol, n)
 
 
-def _krylov_step(h, hp, curv, r, p, q, grid: Grid, iterations: list) -> np.ndarray:
+def _krylov_step(state: SupportFunction, r, p, q, iterations: list) -> np.ndarray:
     """Newton step J s = -r by GMRES on the FFT-applied Jacobian.
 
     Right-preconditioned by ``_fft_preconditioner`` and solved by ``_gmres``
@@ -236,7 +239,7 @@ def _krylov_step(h, hp, curv, r, p, q, grid: Grid, iterations: list) -> np.ndarr
     to 1024 against 46-78 us for ``_gmres``, of which one preconditioned FFT
     product takes 40-66 us (2-core x86-64, one BLAS thread).
     """
-    a, b, c = _jacobian_coefficients(h, hp, curv, p, q)
+    a, b, c = _jacobian_coefficients(state, p, q)
     return _gmres(_fft_jacobian(a, b, c), _fft_preconditioner(a, b, c), -r, iterations)
 
 
@@ -308,57 +311,65 @@ def _gmres(apply, precondition, rhs: np.ndarray, iterations: list) -> np.ndarray
         f" {count} iterations (tolerance {KRYLOV_RTOL:.0e})")
 
 
-def _newton_stage(h, hp, curv, f, p, q, cfg: SolverConfig, grid: Grid,
-                  trace: list, t_label: float, linear_solve=_dense_step):
-    """Damped Newton on fixed data.
+def _newton_stage(state: SupportFunction, f, p, q, cfg: SolverConfig, trace: list,
+                  t_label: float, linear_solve=_dense_step):
+    """Damped Newton on fixed data from the body ``state``.
 
-    (h, hp, curv) are the iterate with its first derivative and curvature
-    density; returns the final such triple and its residual sup.  Each
-    Newton step solves J s = -r by ``linear_solve(h, hp, curv, r, p, q,
-    grid)``, and each accepted step appends (t_label, iteration, residual
-    sup, damping) to trace.
+    Returns the final state, ``state`` itself if no step is taken, and its
+    residual sup.  Each Newton step solves J s = -r by ``linear_solve(state,
+    r, p, q)``.  A trial is rejected if its body from ``_state`` fails
+    validation, if p >= 1 and its min h is at the singular floor, or if it
+    does not decrease the l2 residual.  Each accepted step appends
+    (t_label, iteration, residual sup, damping) to trace; damping below
+    DAMPING_MIN raises StagnationError naming the full step's reason and
+    counting the step's trials per reason.
     """
-    r = lp_dual_kernel(h, hp, curv, p, q) - f
+    r = _density(state, p, q) - f
     res_sup = float(np.max(np.abs(r)))
     res_l2 = float(np.linalg.norm(r))
     it = 0
     while res_sup > cfg.newton_tol and it < cfg.max_newton:
-        step = linear_solve(h, hp, curv, r, p, q, grid)
+        step = linear_solve(state, r, p, q)
 
-        damping = 1.0
+        damping, rejected = 1.0, []  # (reason, message) per rejected trial
         while True:
-            cand = h + damping * step
-            ok = float(cand.min()) >= 0.0
-            if ok and p >= 1.0:
-                ok = float(cand.min()) > singular_floor(cand)
-            if ok:
-                _, cand_hp, cand_curv = _derivatives(cand, grid)
-                ok = float(cand_curv.min()) >= -convexity_tol(cand)
-            if ok:
-                r_cand = lp_dual_kernel(cand, cand_hp, cand_curv, p, q) - f
-                cand_l2 = float(np.linalg.norm(r_cand))
-                ok = np.isfinite(cand_l2) and cand_l2 < res_l2
-            if ok:
-                break
+            cand = state.values + damping * step
+            try:
+                trial = _state(cand, state.grid)
+            except (NegativeSupportError, NonconvexError) as exc:
+                why = ("non-finite" if not np.isfinite(exc.value) else
+                       "negative" if isinstance(exc, NegativeSupportError) else "nonconvex")
+                rejected.append((why, str(exc)))
+            else:
+                if p >= 1.0 and not float(cand.min()) > singular_floor(cand):
+                    rejected.append(("singular floor",) * 2)
+                else:
+                    r_trial = _density(trial, p, q) - f
+                    trial_l2 = float(np.linalg.norm(r_trial))
+                    if trial_l2 < res_l2:  # a non-finite norm fails
+                        break
+                    rejected.append(("no decrease",) * 2)
             damping *= 0.5
             if damping < DAMPING_MIN:
+                counts = Counter(why for why, _ in rejected)
                 raise StagnationError(
                     f"damping underflow at stage t = {t_label:.3f},"
-                    f" residual {res_sup:.3e}",
+                    f" residual {res_sup:.3e}; full step: {rejected[0][1]}; "
+                    + ", ".join(f"{k} {why}" for why, k in counts.items()),
                     trace=trace,
                 )
-        h, hp, curv, r = cand, cand_hp, cand_curv, r_cand
-        res_l2 = cand_l2
+        state, r, res_l2 = trial, r_trial, trial_l2
         res_sup = float(np.max(np.abs(r)))
         it += 1
         trace.append((t_label, it, res_sup, damping))
-    return h, hp, curv, res_sup
+    return state, res_sup
 
 
-def _derivatives(h: np.ndarray, grid: Grid):
-    """The Newton state (h, h', h'' + h) of support values h."""
+def _state(h: np.ndarray, grid: Grid, validate: bool = True) -> SupportFunction:
+    """The Newton state of support values h: a body carrying h' and h'' + h
+    from one ``diff`` call.  Trials are validated, starts are not."""
     hp, hpp = diff(PeriodicSamples(h, grid), (1, 2))
-    return h, hp.values, hpp.values + h
+    return SupportFunction._carrying(h, grid, hp.values, hpp.values + h, validate=validate)
 
 
 def _continuation(f: PeriodicSamples, p: float, q: float, cfg: SolverConfig,
@@ -369,20 +380,20 @@ def _continuation(f: PeriodicSamples, p: float, q: float, cfg: SolverConfig,
     doubles ``step``; a failed one is retried from the last solved t with
     half of it, until that falls below ``min_step`` and the stage's error is
     raised.  Steps are appended to ``trace`` and each stage's step count to
-    ``stages``; both may hold earlier attempts.  Returns the final
-    (h, h', h'' + h, residual sup).
+    ``stages``; both may hold earlier attempts.  Returns the final state
+    and its residual sup.
     """
     grid = f.grid
     mean_f = float(np.mean(f.values))
-    state = _derivatives(np.full(grid.n_points, mean_f ** (1.0 / (q - p))), grid)
+    state = _state(np.full(grid.n_points, mean_f ** (1.0 / (q - p))), grid, validate=False)
     t0 = 0.0
     while t0 < 1.0:
         t = min(1.0, t0 + step)
         before = len(trace)
         err = None
         try:
-            *reached, res_sup = _newton_stage(*state, (1.0 - t) * mean_f + t * f.values,
-                                              p, q, cfg, grid, trace, t)
+            reached, res_sup = _newton_stage(state, (1.0 - t) * mean_f + t * f.values,
+                                             p, q, cfg, trace, t)
         except (StagnationError, SingularJacobianError) as exc:
             # the traceback would keep the failed stage's Jacobian and LU alive
             err = exc.with_traceback(None)
@@ -400,7 +411,7 @@ def _continuation(f: PeriodicSamples, p: float, q: float, cfg: SolverConfig,
         step = 0.5 * (t - t0)
         if step < min_step:
             raise err
-    return (*state, res_sup)
+    return state, res_sup
 
 
 def _level_grids(grid: Grid) -> list:
@@ -418,7 +429,7 @@ def _sequenced(params: ProblemParams, cfg: SolverConfig, coarse: Grid, trace: li
     polish starts from the body prolonged by FFT and solves its Newton steps
     by ``_krylov_step``, whose GMRES iteration counts go to ``krylov``; a
     polish whose first step cannot be preconditioned fails in 0 steps.
-    Returns the fine-grid (h, h', h'' + h, residual sup, level gap), or None
+    Returns the fine-grid (state, residual sup, level gap), or None
     if the restricted data are not positive or once a level raises or ends
     unconverged; the steps taken stay in ``trace``, ``stages`` and
     ``levels`` either way.
@@ -430,25 +441,26 @@ def _sequenced(params: ProblemParams, cfg: SolverConfig, coarse: Grid, trace: li
     min_step = 1.0 if coarse.n_points < 2 * COARSE_N else MIN_STEP
     before = len(trace)
     try:
-        h, _, _, res_sup = _continuation(coarse_f, p, q, cfg, 1.0, trace, stages, min_step)
+        reached, res_sup = _continuation(coarse_f, p, q, cfg, 1.0, trace, stages, min_step)
     except (StagnationError, SingularJacobianError):
         res_sup = np.inf
     levels.append((coarse.n_points, len(trace) - before))
     if not res_sup <= cfg.newton_tol:
         return None
-    start = resample(PeriodicSamples(h, coarse), f.grid).values
+    start = resample(reached.h, f.grid).values
     polish = partial(_krylov_step, iterations=[] if krylov is None else krylov)
     before = len(trace)
     try:
-        h, hp, curv, res_sup = _newton_stage(*_derivatives(start, f.grid), f.values, p, q,
-                                             cfg, f.grid, trace, 1.0, polish)
+        reached, res_sup = _newton_stage(_state(start, f.grid, validate=False), f.values,
+                                         p, q, cfg, trace, 1.0, polish)
     except (StagnationError, SingularJacobianError):
         res_sup = np.inf
     stages.append(len(trace) - before)
     levels.append((f.grid.n_points, stages[-1]))
     if not res_sup <= cfg.newton_tol:
         return None
-    return h, hp, curv, res_sup, float(np.max(np.abs(h - start)) / np.max(h))
+    h = reached.values
+    return reached, res_sup, float(np.max(np.abs(h - start)) / np.max(h))
 
 
 def solve(params: ProblemParams, initial: SupportFunction | None = None,
@@ -472,9 +484,9 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
     ``tail_ratio`` is max_{k > n/4} |h_k| / |h_0| of the answer's Fourier
     coefficients, a resolution test as in Chebfun's chopping rule, and
     ``level_gap`` is max |h - prolonged coarse answer| / max h when the
-    answer came from a polish.  The report's body is not validated and
-    carries the final Newton state's h' and h'' + h, which are ``diff`` of
-    its samples bit for bit.
+    answer came from a polish.  The report's body is the final Newton state:
+    a validated trial, or the unvalidated start if no step was taken.  It
+    carries h' and h'' + h, which are ``diff`` of its samples bit for bit.
     """
     cfg = config or SolverConfig()
     p, q, f = params.p, params.q, params.f
@@ -486,8 +498,8 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
     if initial is not None:
         if initial.grid.n_points != grid.n_points:
             raise ValueError("initial body must live on the data grid")
-        h, hp, curv, res_sup = _newton_stage(*_derivatives(initial.values.copy(), grid),
-                                             f.values, p, q, cfg, grid, trace, 1.0)
+        state, res_sup = _newton_stage(_state(initial.values.copy(), grid, validate=False),
+                                       f.values, p, q, cfg, trace, 1.0)
         stages.append(len(trace))
         levels.append((grid.n_points, len(trace)))
     else:
@@ -498,21 +510,21 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
                 break
         if sequenced is None:
             before = len(trace)
-            h, hp, curv, res_sup = _continuation(f, p, q, cfg, 1.0, trace, stages)
+            state, res_sup = _continuation(f, p, q, cfg, 1.0, trace, stages)
             levels.append((grid.n_points, len(trace) - before))
         else:
-            h, hp, curv, res_sup, level_gap = sequenced
+            state, res_sup, level_gap = sequenced
     return SolveReport(
-        body=SupportFunction._carrying(h, grid, hp, curv, validate=False),
+        body=state,
         residual_sup=res_sup,
         iterations=len(trace),
-        min_h=float(h.min()),
-        min_curvature=float(curv.min()),
+        min_h=float(state.values.min()),
+        min_curvature=float(state.curvature.values.min()),
         converged=res_sup <= cfg.newton_tol,
         stage_iterations=stages,
         trace=trace,
         levels=levels,
-        tail_ratio=tail_ratio(h),
+        tail_ratio=tail_ratio(state.values),
         level_gap=level_gap,
         krylov_iterations=sum(krylov),
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from s1mk import Grid, disk, ellipse_body
+from s1mk import Grid, disk, ellipse_body, gen_f
 
 ACCEPTANCE_LINES = []
 
@@ -9,6 +9,14 @@ ACCEPTANCE_LINES = []
 @pytest.fixture(scope="session")
 def grid256():
     return Grid(256)
+
+
+@pytest.fixture(scope="session")
+def stagnating_f():
+    """Piecewise data on 512 points on which every solve path at (p, q) =
+    (0.5, 2) raises StagnationError at residual 1.26e-2, far above the
+    roundoff floor, in about 1 s."""
+    return gen_f("piecewise", 2.0, np.random.SeedSequence([1916, 22, 2]), Grid(512))
 
 
 @pytest.fixture(scope="session")

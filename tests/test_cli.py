@@ -59,13 +59,15 @@ class TestSolveCommand:
                      "--out", str(tmp_path)])
         assert code == 2
 
-    def test_stagnation_exit(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"solver": {"newton_tol": 1e-16, "max_newton": 200}}))
-        code = main(["solve", "--p", "0.5", "--q", "2",
-                     "--config", str(cfg), "--out", str(tmp_path)])
+    def test_stagnation_exit(self, tmp_path, capsys, stagnating_f):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"f": stagnating_f.values.tolist()}))
+        code = main(["solve", "--p", "0.5", "--q", "2", "--grid", "512",
+                     "--f-file", str(f), "--out", str(tmp_path)])
         assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("s1mk: solver failure: damping underflow")
+        assert "; full step: support value" in err and "6 negative, 8 no decrease" in err
 
     def test_missing_exponent(self, tmp_path):
         code = main(["solve", "--q", "2", "--out", str(tmp_path)])

@@ -27,7 +27,6 @@ from s1mk import (
 )
 from s1mk import body as body_module
 from s1mk.grid import diff, diff_matrix, resample, restrict
-from s1mk.measures import lp_dual_kernel
 
 
 def _params(p, q, grid, seed=0, lam=2.0, kind="trig"):
@@ -37,9 +36,9 @@ def _params(p, q, grid, seed=0, lam=2.0, kind="trig"):
 def _continued(params, step=1.0, cfg=None):
     """The continuation path alone on the data grid: (h, trace, stages, residual)."""
     trace, stages = [], []
-    h, _, _, res_sup = solver._continuation(params.f, params.p, params.q,
-                                            cfg or SolverConfig(), step, trace, stages)
-    return h, trace, stages, res_sup
+    state, res_sup = solver._continuation(params.f, params.p, params.q,
+                                          cfg or SolverConfig(), step, trace, stages)
+    return state.values, trace, stages, res_sup
 
 
 class TestResidual:
@@ -142,8 +141,7 @@ class TestJacobian:
         grid = Grid(512)
         body = s1mk.random_convex_body(np.random.default_rng(13), grid)
         params = _params(p, q, grid)
-        coef = solver._jacobian_coefficients(body.values, body.derivative.values,
-                                             body.curvature.values, p, q)
+        coef = solver._jacobian_coefficients(body, p, q)
         assert (coef[1] is None) == (q == 2.0)
         product = solver._fft_jacobian(*coef)
         jac = jacobian(body, params)
@@ -160,12 +158,11 @@ class TestJacobian:
         import s1mk
         grid = Grid(n)
         body = s1mk.random_convex_body(np.random.default_rng(5), grid)
-        state = (body.values, body.derivative.values, body.curvature.values)
-        a, b, c = solver._jacobian_coefficients(*state, 0.5, q)
+        a, b, c = solver._jacobian_coefficients(body, 0.5, q)
         terms = a[:, None] * diff_matrix(grid, 2)
         if b is not None:
             terms = terms + b[:, None] * diff_matrix(grid, 1)
-        mat = solver._jacobian_matrix(*state, 0.5, q, grid)
+        mat = solver._jacobian_matrix(body, 0.5, q)
         assert mat.flags.f_contiguous
         assert np.array_equal(mat, terms + np.diag(c))
 
@@ -176,12 +173,11 @@ def _polish_system(q, n=512, seed=1):
     grid = Grid(n)
     params = _params(0.5, q, grid, seed=seed, kind="bump")
     h = solve(params).body.values * (1.0 + 0.01 * np.cos(3.0 * grid.theta))
-    state = solver._derivatives(h, grid)
-    coef = solver._jacobian_coefficients(*state, 0.5, q)
-    rhs = params.f.values - lp_dual_kernel(*state, 0.5, q)
-    body = SupportFunction(PeriodicSamples(h, grid), validate=False)
+    state = solver._state(h, grid, validate=False)
+    coef = solver._jacobian_coefficients(state, 0.5, q)
+    rhs = -residual(state, params).values
     return (solver._fft_jacobian(*coef), solver._fft_preconditioner(*coef), rhs,
-            jacobian(body, params))
+            jacobian(state, params))
 
 
 class TestGmres:
@@ -228,6 +224,58 @@ class TestSpectrum:
     def test_k_max_validation(self):
         with pytest.raises(ValueError):
             linearized_spectrum(0.5, k_max=1)
+
+
+class TestLineSearch:
+    """Each rule that rejects a trial step of ``_newton_stage``.
+
+    The stage starts from the unit disk on 64 points, whose density is 1 at
+    q = 2 for every p, and takes one injected step: translating by a cos
+    term moves min h, a cos 2 theta term bends the curvature density.
+    """
+
+    # p, step, far data, damping accepted there, the StagnationError's tail
+    CASES = {
+        "negative": (0.5, lambda t: 3.0 + 4.5 * np.cos(t), 8.0, 0.5,
+                     r"full step: support value -5\.000e-01 < 0 at theta = 3\.141593;"
+                     r" 1 negative, 13 no decrease"),
+        "nonconvex": (0.5, lambda t: 3.0 + 1.5 * np.cos(2.0 * t), 8.0, 0.5,
+                      r"full step: curvature density -5\.0+e-01 < -5\.5e-09 at theta = \S+"
+                      r" \(samples' Fourier tail ratio \S+\); 1 nonconvex, 13 no decrease"),
+        "singular floor": (1.0, lambda t: 1.0 + 2.0 * np.cos(t), 2.0, 0.5,
+                           r"full step: singular floor; 1 singular floor, 13 no decrease"),
+        "no decrease": (0.5, lambda t: np.full(t.shape, 20.0), 8.0, 0.25,
+                        r"full step: no decrease; 14 no decrease"),
+        "non-finite": (0.5, lambda t: np.where(np.arange(t.size) == 5, np.nan, 1.0), 8.0,
+                       None, r"full step: support value non-finite at theta = 0\.490874;"
+                             r" 14 non-finite"),
+    }
+
+    @staticmethod
+    def _stage(p, step, data):
+        grid = Grid(64)
+        trace = []
+        start = solver._state(np.ones(64), grid)
+        solver._newton_stage(start, np.full(64, data), p, 2.0, SolverConfig(max_newton=1),
+                             trace, 1.0, lambda *args: step(grid.theta))
+        return trace
+
+    @pytest.mark.parametrize("reason", list(CASES))
+    def test_rejected_full_step(self, reason):
+        p, step, far, damping, tail = self.CASES[reason]
+        # far from the data a shorter step decreases the residual; a NaN
+        # sample stays NaN at every damping
+        if damping is None:
+            with pytest.raises(StagnationError, match=tail + "$"):
+                self._stage(p, step, far)
+        else:
+            assert [entry[3] for entry in self._stage(p, step, far)] == [damping]
+        # next to the data every trial fails, and the error names the full
+        # step's reason and counts the reasons of all 14 trials
+        with pytest.raises(StagnationError,
+                           match=r"damping underflow at stage t = 1\.000, residual 1\.000e-09; "
+                                 + tail + "$"):
+            self._stage(p, step, 1.0 + 1e-9)
 
 
 class TestSolve:
@@ -322,10 +370,14 @@ class TestSolve:
             with pytest.raises(SingularJacobianError):
                 solve(_params(0.5, 2.0, grid256), initial=disk(grid256, 1.2))
 
-    def test_stagnation_carries_trace(self, grid256):
-        cfg = SolverConfig(newton_tol=1e-16, max_newton=200)
-        with pytest.raises(StagnationError) as exc_info:
-            solve(_params(0.5, 2.0, grid256), config=cfg)
+    def test_stagnation_carries_trace(self, stagnating_f):
+        # every path stops far above the roundoff floor; the last step's
+        # full step leaves the body
+        with pytest.raises(StagnationError,
+                           match=r"at stage t = 1\.000, residual 1\.26\de-02; full step:"
+                                 r" support value -3\.8\d\de-02 < 0 at theta = 6\.24\d+;"
+                                 r" 6 negative, 8 no decrease$") as exc_info:
+            solve(ProblemParams(0.5, 2.0, stagnating_f, lam=2.0))
         trace = exc_info.value.trace
         assert len(trace) >= 3
         # the failed direct attempt comes first, then the bisected stages
@@ -475,10 +527,9 @@ class TestSequencing:
         start = disk(g, 1.1)
         rep = solve(params, initial=start)
         trace = []
-        h, _, _, res_sup = solver._newton_stage(*solver._derivatives(start.values, g),
-                                                params.f.values, 0.5, 3.0, cfg, g,
-                                                trace, 1.0)
-        _same_report(rep, h, trace, [len(trace)], res_sup)
+        state, res_sup = solver._newton_stage(solver._state(start.values, g),
+                                              params.f.values, 0.5, 3.0, cfg, trace, 1.0)
+        _same_report(rep, state.values, trace, [len(trace)], res_sup)
         assert rep.levels == [(512, rep.iterations)] and rep.level_gap is None
 
     @pytest.mark.parametrize("how", ["raises", "unconverged"])
@@ -487,19 +538,18 @@ class TestSequencing:
         real = solver._newton_stage
         polished = []
 
-        def failing_polish(h, hp, curv, f, p, q, cfg, grid, trace, t_label,
+        def failing_polish(state, f, p, q, cfg, trace, t_label,
                            linear_solve=solver._dense_step):
-            if grid.n_points < 512 or polished:
-                return real(h, hp, curv, f, p, q, cfg, grid, trace, t_label, linear_solve)
+            if state.grid.n_points < 512 or polished:
+                return real(state, f, p, q, cfg, trace, t_label, linear_solve)
             # one polish step, then the fine level gives up: it raises, or
             # reports a residual above the tolerance
-            polished.append(grid)
-            *state, _ = real(h, hp, curv, f, p, q,
-                             SolverConfig(newton_tol=1e-17, max_newton=1), grid, trace,
-                             t_label, linear_solve)
+            polished.append(state.grid)
+            state, _ = real(state, f, p, q, SolverConfig(newton_tol=1e-17, max_newton=1),
+                            trace, t_label, linear_solve)
             if how == "raises":
                 raise StagnationError("forced", trace=trace)
-            return (*state, 2.0 * cfg.newton_tol)
+            return state, 2.0 * cfg.newton_tol
 
         monkeypatch.setattr(solver, "_newton_stage", failing_polish)
         rep = solve(params)
@@ -508,8 +558,9 @@ class TestSequencing:
         # again from n = 256, whose n = 512 polish succeeds
         attempt = solve(ProblemParams(0.5, 3.0, restrict(params.f, Grid(128))))
         trace, stages, levels = [], [], []
-        h_ref, _, _, res_sup, gap = solver._sequenced(params, SolverConfig(), Grid(256),
-                                                      trace, stages, levels)
+        state, res_sup, gap = solver._sequenced(params, SolverConfig(), Grid(256),
+                                                trace, stages, levels)
+        h_ref = state.values
         abandoned = len(rep.trace) - len(trace)
         assert rep.converged and rep.level_gap == gap
         assert rep.levels[:2] == [(128, attempt.iterations), (512, 1)]
@@ -532,14 +583,14 @@ class TestSequencing:
         h_coarse, coarse_trace, _, _ = _continued(coarse_params)
         monkeypatch.setattr(solver, "KRYLOV_RESTART", 3)
         monkeypatch.setattr(solver, "KRYLOV_CYCLES", 1)
-        start = solver._derivatives(
-            resample(PeriodicSamples(h_coarse, Grid(256)), fine).values, fine)
-        r = lp_dual_kernel(*start, 0.5, 3.0) - params.f.values
+        start = solver._state(resample(PeriodicSamples(h_coarse, Grid(256)), fine).values,
+                              fine, validate=False)
+        r = residual(start, params).values
         counts = []
         with pytest.raises(SingularJacobianError,
                            match=r"GMRES reached relative residual \d\.\d\de-\d\d"
                                  r" after 3 iterations"):
-            solver._krylov_step(*start, r, 0.5, 3.0, fine, counts)
+            solver._krylov_step(start, r, 0.5, 3.0, counts)
         assert counts == [3]
         rep = solve(params)
         monkeypatch.undo()
