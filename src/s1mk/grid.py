@@ -37,20 +37,23 @@ class Grid:
         return TWO_PI / self.n_points
 
 
-@dataclass(frozen=True, eq=False)
 class PeriodicSamples:
     """Real samples of a periodic function, tied to the grid they live on."""
 
-    values: np.ndarray
-    grid: Grid
+    __slots__ = ("values", "grid")  # immutable, not a frozen dataclass: each Newton trial makes 3
 
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.shape != (self.grid.n_points,):
-            raise ValueError(
-                f"expected {self.grid.n_points} samples, got shape {vals.shape}"
-            )
+    def __init__(self, values, grid: Grid):
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != (grid.n_points,):
+            raise ValueError(f"expected {grid.n_points} samples, got shape {vals.shape}")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "grid", grid)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __reduce__(self):  # pickles and copies go through the checked constructor
+        return PeriodicSamples, (self.values, self.grid)
 
     @property
     def n(self) -> int:

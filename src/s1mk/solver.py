@@ -17,9 +17,10 @@ constant data mean(f).  Only if that fails does it continue along the data
 step in t, a failed one is retried with half of it (Allgower and Georg,
 Introduction to Numerical Continuation Methods, SIAM 2003).  These stages,
 and Newton from an explicit start, assemble J as a dense matrix in Fortran
-order from ``diff_matrix``'s Fortran-ordered matrices and solve it by LU in
-place with a LAPACK condition estimate.  Each Newton state takes h' and h''
-from one ``diff`` call of order (1, 2), made by ``_state``.
+order from ``diff_matrix``'s Fortran-ordered matrices and solve it in place
+by direct LAPACK getrf and getrs calls, checked by a condition estimate.
+Each Newton state takes h' and h'' from one ``diff`` call of order (1, 2),
+made by ``_state``.
 
 On a grid of n >= 2 COARSE_N points without an explicit start, ``solve``
 first works on two grids (Xu, SIAM J. Numer. Anal. 33, 1996): it restricts
@@ -28,27 +29,26 @@ attempt, prolongs the body to the full grid by FFT zero-padding and polishes
 it with Newton to the same tolerance, measured on that grid.  The polish is
 Jacobian-free Newton-Krylov (Knoll and Keyes, J. Comput. Phys. 193, 2004):
 GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) on J applied
-by FFTs, preconditioned by its constant-coefficient part.  GMRES is written
-out in ``_gmres`` because scipy's Python ``gmres`` cost more per call and
-per iteration than the FFT products it applies.  The smooth solutions need
-far fewer modes than a large grid carries, so the polish usually takes 0-3
-steps.  Each level is judged by its own Newton outcome: if either raises or
-ends unconverged, ``solve`` runs the two levels again from 2 COARSE_N points
-with the whole policy above (for n > 2 COARSE_N), and if that fails too, the
-full grid by that policy from the constant start; the abandoned steps stay
-in the trace.
+by FFTs, preconditioned by its constant-coefficient part M, with J M^-1
+applied by one rfft and one irfft.  GMRES is written out in ``_gmres``
+because scipy's Python ``gmres`` cost more per call and per iteration than
+the FFT products it applies.  The smooth solutions need far fewer modes than
+a large grid carries, so the polish usually takes 0-3 steps.  Each level is
+judged by its own Newton outcome: if either raises or ends unconverged,
+``solve`` runs the two levels again from 2 COARSE_N points with the whole
+policy above (for n > 2 COARSE_N), and if that fails too, the full grid by
+that policy from the constant start; the abandoned steps stay in the trace.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 
 from .body import SupportFunction
 from .errors import (NegativeSupportError, NonconvexError, ParameterRangeError,
@@ -76,7 +76,18 @@ KRYLOV_RTOL = 1e-6
 KRYLOV_RESTART = 60
 KRYLOV_CYCLES = 2
 
-_GECON, _LANGE, _TRTRS = get_lapack_funcs(("gecon", "lange", "trtrs"), (np.empty((2, 2)),))
+_GECON, _GETRF, _GETRS, _LANGE, _TRTRS = get_lapack_funcs(
+    ("gecon", "getrf", "getrs", "lange", "trtrs"), (np.empty((2, 2)),))
+
+
+def lu_factor(a: np.ndarray):
+    """scipy's (lu, piv) bit for bit, by getrf without its checks; in place if Fortran."""
+    return _GETRF(a, overwrite_a=True)[:2]
+
+
+def lu_solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve from ``lu_factor``'s factors by getrs, bit for bit scipy's ``lu_solve``."""
+    return _GETRS(lu, piv, rhs)[0]
 
 
 @dataclass(frozen=True)
@@ -198,24 +209,24 @@ def _dense_step(state: SupportFunction, r, p, q) -> np.ndarray:
     """Newton step J s = -r by dense LU, checked by a LAPACK condition estimate."""
     jac = _jacobian_matrix(state, p, q)
     anorm = float(_LANGE("1", jac))  # no |jac| temporary, unlike np.linalg.norm
-    with warnings.catch_warnings():
-        # an exactly zero pivot fails the condition check below
-        warnings.simplefilter("ignore", LinAlgWarning)
-        lu, piv = lu_factor(jac, overwrite_a=True)
+    if not math.isfinite(anorm):  # NaN or inf when J has such an entry
+        raise SingularJacobianError(f"linearization has a non-finite entry: 1-norm {anorm}")
+    lu, piv = lu_factor(jac)  # an exactly zero pivot fails the estimate below
     rcond, info = _GECON(lu, anorm, norm="1")
     if info != 0 or rcond < RCOND_LIMIT:
         raise SingularJacobianError(
             f"linearization condition estimate {1.0 / max(rcond, 1e-300):.2e}"
         )
-    return lu_solve((lu, piv), -r)
+    return lu_solve(lu, piv, -r)
 
 
 def _fft_preconditioner(a: np.ndarray, b: np.ndarray | None, c: np.ndarray):
-    """The inverse of J's constant-coefficient part, by FFT in O(n log n).
+    """The inverse of J's constant-coefficient part M, and J M^-1, by FFT in O(n log n).
 
-    That part is M v = A (v'' + mean(B/A) v' + mean(C/A) v), which FFTs
-    invert exactly (Orszag, J. Comput. Phys. 37, 1980).  Raises
-    SingularJacobianError where A is not positive or M is singular.
+    M v = A (v'' + mean(B/A) v' + mean(C/A) v), which FFTs invert exactly
+    (Orszag, J. Comput. Phys. 37, 1980).  J M^-1 v takes x = M^-1 v, x' and x''
+    from one rfft of v/A and one irfft.  Raises SingularJacobianError where A
+    is not positive or M is singular.
     """
     if not float(a.min()) > 0.0:
         raise SingularJacobianError(
@@ -226,7 +237,14 @@ def _fft_preconditioner(a: np.ndarray, b: np.ndarray | None, c: np.ndarray):
         symbol = symbol + _multiplier(n, 1) * float(np.mean(b / a))
     if float(np.abs(symbol).min()) <= RCOND_LIMIT * float(np.abs(symbol).max()):
         raise SingularJacobianError("preconditioner symbol vanishes at a Fourier mode")
-    return lambda v: np.fft.irfft(np.fft.rfft(v / a) / symbol, n)
+    rows = np.vstack([np.ones_like(symbol), _multiplier(n, 2 if b is None else (1, 2))]) / symbol
+
+    def preconditioned(v):
+        x, *d = np.fft.irfft(rows * np.fft.rfft(v / a), n)  # d = [x''] or [x', x'']
+        jv = a * d[-1] + c * x
+        return jv if b is None else jv + b * d[0]
+
+    return lambda v: np.fft.irfft(np.fft.rfft(v / a) / symbol, n), preconditioned
 
 
 def _krylov_step(state: SupportFunction, r, p, q, iterations: list) -> np.ndarray:
@@ -234,27 +252,35 @@ def _krylov_step(state: SupportFunction, r, p, q, iterations: list) -> np.ndarra
 
     Right-preconditioned by ``_fft_preconditioner`` and solved by ``_gmres``
     to the relative residual KRYLOV_RTOL; the iteration count is appended
-    to ``iterations``.  GMRES is written out rather than taken from scipy,
-    whose Python ``gmres`` took 137-172 us an iteration on grids of n = 128
-    to 1024 against 46-78 us for ``_gmres``, of which one preconditioned FFT
-    product takes 40-66 us (2-core x86-64, one BLAS thread).
+    to ``iterations``.  A SingularJacobianError first names any support value
+    <= 0 of the state.  GMRES is written out rather than taken from scipy,
+    whose Python ``gmres`` took 78-110 us an iteration on grids of n = 128
+    to 1024 against 33-62 us for ``_gmres``, of which one fused product
+    takes 17-39 us (2-core x86-64, one BLAS thread).
     """
     a, b, c = _jacobian_coefficients(state, p, q)
-    return _gmres(_fft_jacobian(a, b, c), _fft_preconditioner(a, b, c), -r, iterations)
+    try:
+        return _gmres(_fft_jacobian(a, b, c), *_fft_preconditioner(a, b, c), -r, iterations)
+    except SingularJacobianError as exc:
+        h, i = state.values, state.values.argmin()
+        if not h[i] <= 0.0:
+            raise
+        raise SingularJacobianError(f"Newton state min h {h[i]:.3e} <= 0 at theta ="
+                                    f" {state.grid.theta[i]:.6f}; {exc}") from None
 
 
-def _gmres(apply, precondition, rhs: np.ndarray, iterations: list) -> np.ndarray:
+def _gmres(apply, precondition, preconditioned, rhs: np.ndarray, iterations: list):
     """Solve apply(x) = rhs by restarted GMRES, right-preconditioned.
 
     GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) runs on
-    apply(precondition(z)) = rhs and returns x = precondition(z).  A cycle
+    preconditioned(z) = rhs and returns x = precondition(z).  A cycle
     builds at most KRYLOV_RESTART Arnoldi vectors, orthogonalized by
     classical Gram-Schmidt run twice, which keeps them orthogonal to working
     precision (Giraud et al., Numer. Math. 101, 2005) in four matrix-vector
     products instead of a Python loop of dot products.  Givens rotations keep
     the small least-squares problem triangular and give its residual norm at
     each iteration; a cycle ends when that falls to KRYLOV_RTOL ||rhs||.
-    Success is judged on the true residual, recomputed after each cycle,
+    Success is judged on the true residual of x, recomputed after each cycle,
     which also restarts the next one, up to KRYLOV_CYCLES: the rule of
     scipy's ``gmres``, whose iteration counts it reproduces.  The count is
     appended to ``iterations``; a miss raises SingularJacobianError naming
@@ -273,7 +299,7 @@ def _gmres(apply, precondition, rhs: np.ndarray, iterations: list) -> np.ndarray
         g = [beta]  # rotated right-hand side; |g[-1]| is the residual norm
         rotations = []
         for j in range(m):
-            w = apply(precondition(basis[j]))
+            w = preconditioned(basis[j])
             known = basis[: j + 1]
             coef = known @ w
             w -= coef @ known

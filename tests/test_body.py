@@ -40,6 +40,7 @@ from s1mk import (
 from s1mk.grid import diff, trig_eval
 
 ELLIPSE21_PERIMETER = 9.688448220547677  # arc length of (2 cos t, sin t)
+_T64 = Grid(64).theta
 
 
 def _message_tail_ratio(error) -> float:
@@ -92,6 +93,27 @@ class TestValidation:
             with pytest.raises(error, match="non-finite") as info:
                 from_samples(vals, g)
         assert f"at theta = {g.theta[5]:.6f}" in str(info.value)
+
+    # one reduction per invariant must not change what a rejected body
+    # reports: each message is the text the four-reduction checks gave
+    @pytest.mark.parametrize("vals, error, message", [
+        (np.cos(_T64), NegativeSupportError,
+         "support value -1.000e+00 < 0 at theta = 3.141593"),
+        (np.where(np.arange(64) == 5, np.nan, 1.0), NegativeSupportError,
+         "support value non-finite at theta = 0.490874"),
+        (np.where(np.arange(64) == 5, np.inf, 1.0), NonconvexError,
+         "curvature density non-finite: support value inf at theta = 0.490874"),
+        # a unique curvature minimum at theta = 0 and a mode-20 tail
+        (1.0 + 0.5 * np.cos(2 * _T64) + 0.01 * np.cos(3 * _T64) + 0.001 * np.cos(20 * _T64),
+         NonconvexError, "curvature density -9.790000e-01 < -1.5e-09 at theta = 0.000000"
+                         " (samples' Fourier tail ratio 5.0e-04)"),
+    ], ids=["negative", "nan", "inf", "nonconvex"])
+    def test_messages_word_for_word(self, vals, error, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error) as info:
+                from_samples(vals, Grid(64))
+        assert str(info.value) == message
 
     def test_validate_false_skips_checks(self):
         g = Grid(64)

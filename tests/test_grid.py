@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,16 @@ class TestGrid:
         g = Grid(64)
         with pytest.raises(ValueError):
             PeriodicSamples(np.ones(65), g)
+
+    def test_samples_are_immutable(self):
+        s = PeriodicSamples(np.ones(64), Grid(64))
+        for name in ("values", "grid", "other"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, np.zeros(64))
+        assert np.array_equal(s.values, np.ones(64))
+        # a pickle round trip rebuilds through the checked constructor
+        clone = pickle.loads(pickle.dumps(s))
+        assert np.array_equal(clone.values, s.values) and clone.grid == s.grid
 
 
 class TestDiff:

@@ -169,14 +169,15 @@ class TestJacobian:
 
 def _polish_system(q, n=512, seed=1):
     """A Krylov polish system: the FFT Jacobian at a perturbed n-point
-    solution of bump data, its preconditioner, -residual and dense Jacobian."""
+    solution of bump data, its preconditioner, the fused preconditioned
+    product, -residual and dense Jacobian."""
     grid = Grid(n)
     params = _params(0.5, q, grid, seed=seed, kind="bump")
     h = solve(params).body.values * (1.0 + 0.01 * np.cos(3.0 * grid.theta))
     state = solver._state(h, grid, validate=False)
     coef = solver._jacobian_coefficients(state, 0.5, q)
     rhs = -residual(state, params).values
-    return (solver._fft_jacobian(*coef), solver._fft_preconditioner(*coef), rhs,
+    return (solver._fft_jacobian(*coef), *solver._fft_preconditioner(*coef), rhs,
             jacobian(state, params))
 
 
@@ -184,17 +185,17 @@ class TestGmres:
     @pytest.mark.parametrize("q", [2.0, 3.0])
     def test_matches_dense_solve_and_scipy_counts(self, q, monkeypatch):
         from scipy.sparse.linalg import LinearOperator, gmres
-        product, precondition, rhs, jac = _polish_system(q)
+        product, precondition, preconditioned, rhs, jac = _polish_system(q)
         dense = np.linalg.solve(jac, rhs)
         for rtol, agree in ((solver.KRYLOV_RTOL, 1e-4), (1e-11, 1e-8)):
             monkeypatch.setattr(solver, "KRYLOV_RTOL", rtol)
             counts = []
-            x = solver._gmres(product, precondition, rhs, counts)
+            x = solver._gmres(product, precondition, preconditioned, rhs, counts)
             assert np.linalg.norm(product(x) - rhs) <= rtol * np.linalg.norm(rhs)
             assert np.max(np.abs(x - dense)) <= agree * np.max(np.abs(dense)), rtol
+            # scipy's gmres on the operator whose Krylov space _gmres builds
             n = rhs.shape[0]
-            op = LinearOperator((n, n), matvec=lambda y: product(precondition(y)),
-                                dtype=float)
+            op = LinearOperator((n, n), matvec=preconditioned, dtype=float)
             history = []
             _, info = gmres(op, rhs, rtol=rtol, atol=0.0, restart=solver.KRYLOV_RESTART,
                             maxiter=solver.KRYLOV_CYCLES, callback=history.append,
@@ -202,13 +203,93 @@ class TestGmres:
             assert info == 0 and counts == [len(history)] and len(history) > 1, rtol
 
     def test_restarts_until_the_true_residual_meets_the_tolerance(self, monkeypatch):
-        product, precondition, rhs, _ = _polish_system(3.0)
+        product, precondition, preconditioned, rhs, _ = _polish_system(3.0)
         monkeypatch.setattr(solver, "KRYLOV_RESTART", 2)
         monkeypatch.setattr(solver, "KRYLOV_CYCLES", 50)
         counts = []
-        x = solver._gmres(product, precondition, rhs, counts)
+        x = solver._gmres(product, precondition, preconditioned, rhs, counts)
         assert np.linalg.norm(product(x) - rhs) <= solver.KRYLOV_RTOL * np.linalg.norm(rhs)
         assert counts[0] > 2 * solver.KRYLOV_RESTART
+
+
+class TestFusedProduct:
+    # J M^-1 v from one rfft and one irfft, against the round trip through
+    # M^-1 v's samples, whose k^2 multiplier amplifies roundoff by about n^2
+    @pytest.mark.parametrize("q", [2.0, 3.0])
+    @pytest.mark.parametrize("n", [128, 512, 1024])
+    def test_matches_the_round_trip(self, n, q):
+        product, precondition, preconditioned, _, _ = _polish_system(q, n)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            v = rng.standard_normal(n)
+            ref = product(precondition(v))
+            err = np.max(np.abs(preconditioned(v) - ref)) / np.max(np.abs(ref))
+            assert err <= n * n * np.finfo(float).eps, (n, q, err)
+
+
+class TestDenseStep:
+    @staticmethod
+    def _scipy_lu(a):
+        import scipy.linalg
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+            return scipy.linalg.lu_factor(a)
+
+    @pytest.mark.parametrize("n", [16, 128])
+    def test_lu_matches_scipy_bit_for_bit(self, n):
+        import scipy.linalg
+        rng = np.random.default_rng(n)
+        a = np.asfortranarray(rng.standard_normal((n, n)))
+        rhs = rng.standard_normal(n)
+        ref_lu, ref_piv = self._scipy_lu(a)
+        work = a.copy(order="F")
+        lu, piv = solver.lu_factor(work)
+        assert np.shares_memory(lu, work)  # factored in place
+        assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
+        assert np.array_equal(solver.lu_solve(lu, piv, rhs),
+                              scipy.linalg.lu_solve((ref_lu, ref_piv), rhs))
+
+    def test_lu_of_c_ordered_input_matches_scipy(self):
+        # the exactly singular matrix of test_zero_pivot_raises_without_warning
+        a = np.diag(np.r_[np.ones(255), 0.0])
+        ref_lu, ref_piv = self._scipy_lu(a)
+        lu, piv = solver.lu_factor(a)
+        assert np.array_equal(lu, ref_lu) and np.array_equal(piv, ref_piv)
+        assert np.array_equal(a, np.diag(np.r_[np.ones(255), 0.0]))  # copied, not overwritten
+
+    def test_step_calls_each_lu_function_once(self, grid256, monkeypatch):
+        calls = []
+
+        def counted(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            return wrapper
+
+        for name in ("lu_factor", "lu_solve"):
+            monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+        import scipy.linalg
+        params = _params(0.5, 2.0, grid256)
+        state = solver._state(disk(grid256, 1.2).values, grid256)
+        r = residual(state, params).values
+        step = solver._dense_step(state, r, 0.5, 2.0)
+        assert calls == ["lu_factor", "lu_solve"]
+        ref = scipy.linalg.lu_solve(self._scipy_lu(jacobian(state, params)), -r)
+        assert np.array_equal(step, ref)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_jacobian_is_named(self, grid256, monkeypatch, bad):
+        # scipy's lu_factor raised an untyped ValueError here; the 1-norm the
+        # condition estimate needs names the entry instead, with no warning
+        jac = np.eye(256, order="F")
+        jac[7, 3] = bad
+        monkeypatch.setattr(solver, "_jacobian_matrix", lambda *args: jac)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularJacobianError,
+                               match=rf"^linearization has a non-finite entry: 1-norm"
+                                     rf" {'nan' if np.isnan(bad) else 'inf'}$"):
+                solve(_params(0.5, 2.0, grid256), initial=disk(grid256, 1.2))
 
 
 class TestSpectrum:
@@ -611,6 +692,21 @@ class TestSequencing:
         assert rep.levels == [(128, 14), (512, 0), (256, 15), (512, 0), (512, 16)]
         assert rep.trace[-16:] == fine_trace
         assert np.array_equal(rep.body.values, h_fine)
+
+    def test_nonpositive_polish_start_is_named(self):
+        # the same case: the n = 128 answer (min h 1.2e-3) prolongs to a start
+        # that dips below zero, and the polish's error says so before naming
+        # the preconditioner check that this start fails
+        params = _params(0.5, 2.0, Grid(512), seed=4, lam=5.0)
+        coarse = solve(ProblemParams(0.5, 2.0, restrict(params.f, Grid(128))))
+        assert coarse.levels == [(128, 14)] and coarse.min_h > 1e-3
+        start = solver._state(resample(coarse.body.h, Grid(512)).values, Grid(512),
+                              validate=False)
+        r = residual(start, params).values
+        with pytest.raises(SingularJacobianError,
+                           match=r"^Newton state min h -7\.67\de-03 <= 0 at theta = 0\.269981;"
+                                 r" leading Jacobian coefficient min 0\.00e\+00 is not positive$"):
+            solver._krylov_step(start, r, 0.5, 2.0, [])
 
     def test_prolonged_n256_answer_polishes(self):
         # a solve-large timed case whose n = 256 answer has a tail ratio near
