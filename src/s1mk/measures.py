@@ -53,6 +53,7 @@ class ProblemParams:
     lam: float | None = None
 
     def __post_init__(self):
+        _require_finite(self.f, "data f")
         if np.min(self.f.values) <= 0.0:
             raise ValueError("data f must be strictly positive")
         if self.lam is not None:
@@ -75,6 +76,15 @@ class VariationalReport:
     steps: tuple
     slopes: tuple
     normalization: float | None = None
+
+
+def _require_finite(samples: PeriodicSamples, what: str) -> None:
+    """Raise ValueError naming the first non-finite sample and its angle."""
+    finite = np.isfinite(samples.values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"{what} has the non-finite sample {samples.values[i]}"
+                         f" at theta = {samples.theta[i]:.6f}")
 
 
 def singular_floor(values: np.ndarray) -> float:

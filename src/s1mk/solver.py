@@ -29,8 +29,8 @@ attempt, prolongs the body to the full grid by FFT zero-padding and polishes
 it with Newton to the same tolerance, measured on that grid.  The polish is
 Jacobian-free Newton-Krylov (Knoll and Keyes, J. Comput. Phys. 193, 2004):
 GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) on J applied
-by FFTs, preconditioned by its constant-coefficient part M, with J M^-1
-applied by one rfft and one irfft.  GMRES is written out in ``_gmres``
+by FFTs, preconditioned by its constant-coefficient part M: one rfft and one
+irfft give both x = M^-1 z and J x.  GMRES is written out in ``_gmres``
 because scipy's Python ``gmres`` cost more per call and per iteration than
 the FFT products it applies.  The smooth solutions need far fewer modes than
 a large grid carries, so the polish usually takes 0-3 steps.  Each level is
@@ -55,7 +55,7 @@ from .errors import (NegativeSupportError, NonconvexError, ParameterRangeError,
                      SingularJacobianError, StagnationError)
 from .grid import (Grid, PeriodicSamples, _multiplier, diff, diff_matrix, resample, restrict,
                    tail_ratio)
-from .measures import ProblemParams, _lp_factor, lp_dual_kernel, singular_floor
+from .measures import ProblemParams, _lp_factor, _require_finite, lp_dual_kernel, singular_floor
 
 RCOND_LIMIT = 1e-14
 # Smallest continuation step in t.  The n = 256 robustness matrix (lambda up
@@ -169,23 +169,6 @@ def _jacobian_matrix(body: SupportFunction, p: float, q: float) -> np.ndarray:
     return mat
 
 
-def _fft_jacobian(a: np.ndarray, b: np.ndarray | None, c: np.ndarray):
-    """The product v -> A v'' + B v' + C v, by FFT in O(n log n)."""
-    n = a.shape[0]
-    if b is None:
-        m2 = _multiplier(n, 2)
-        return lambda v: a * np.fft.irfft(m2 * np.fft.rfft(v), n) + c * v
-    pair = _multiplier(n, (1, 2))
-
-    def apply(v):
-        d1, d2 = np.fft.irfft(pair * np.fft.rfft(v), n)
-        jv = a * d2 + c * v
-        jv += b * d1
-        return jv
-
-    return apply
-
-
 def jacobian(body: SupportFunction, params: ProblemParams) -> np.ndarray:
     """Dense Frechet derivative DF(h) on grid values."""
     return _jacobian_matrix(body, params.p, params.q)
@@ -221,12 +204,12 @@ def _dense_step(state: SupportFunction, r, p, q) -> np.ndarray:
 
 
 def _fft_preconditioner(a: np.ndarray, b: np.ndarray | None, c: np.ndarray):
-    """The inverse of J's constant-coefficient part M, and J M^-1, by FFT in O(n log n).
+    """J right-preconditioned by its constant-coefficient part M, by FFT in O(n log n).
 
     M v = A (v'' + mean(B/A) v' + mean(C/A) v), which FFTs invert exactly
-    (Orszag, J. Comput. Phys. 37, 1980).  J M^-1 v takes x = M^-1 v, x' and x''
-    from one rfft of v/A and one irfft.  Raises SingularJacobianError where A
-    is not positive or M is singular.
+    (Orszag, J. Comput. Phys. 37, 1980).  Returns the operator z -> (x, J x)
+    with x = M^-1 z: x, x' and x'' come from one rfft of z/A and one irfft.
+    Raises SingularJacobianError where A is not positive or M is singular.
     """
     if not float(a.min()) > 0.0:
         raise SingularJacobianError(
@@ -239,12 +222,12 @@ def _fft_preconditioner(a: np.ndarray, b: np.ndarray | None, c: np.ndarray):
         raise SingularJacobianError("preconditioner symbol vanishes at a Fourier mode")
     rows = np.vstack([np.ones_like(symbol), _multiplier(n, 2 if b is None else (1, 2))]) / symbol
 
-    def preconditioned(v):
-        x, *d = np.fft.irfft(rows * np.fft.rfft(v / a), n)  # d = [x''] or [x', x'']
-        jv = a * d[-1] + c * x
-        return jv if b is None else jv + b * d[0]
+    def product(z):
+        x, *d = np.fft.irfft(rows * np.fft.rfft(z / a), n)  # d = [x''] or [x', x'']
+        jx = a * d[-1] + c * x
+        return x, (jx if b is None else jx + b * d[0])
 
-    return lambda v: np.fft.irfft(np.fft.rfft(v / a) / symbol, n), preconditioned
+    return product
 
 
 def _krylov_step(state: SupportFunction, r, p, q, iterations: list) -> np.ndarray:
@@ -254,13 +237,13 @@ def _krylov_step(state: SupportFunction, r, p, q, iterations: list) -> np.ndarra
     to the relative residual KRYLOV_RTOL; the iteration count is appended
     to ``iterations``.  A SingularJacobianError first names any support value
     <= 0 of the state.  GMRES is written out rather than taken from scipy,
-    whose Python ``gmres`` took 78-110 us an iteration on grids of n = 128
-    to 1024 against 33-62 us for ``_gmres``, of which one fused product
-    takes 17-39 us (2-core x86-64, one BLAS thread).
+    whose Python ``gmres`` took 84-117 us an iteration on grids of n = 128
+    to 1024 against 33-66 us for ``_gmres``, of which one product takes
+    19-41 us (2-core x86-64, one BLAS thread).
     """
     a, b, c = _jacobian_coefficients(state, p, q)
     try:
-        return _gmres(_fft_jacobian(a, b, c), *_fft_preconditioner(a, b, c), -r, iterations)
+        return _gmres(_fft_preconditioner(a, b, c), -r, iterations)
     except SingularJacobianError as exc:
         h, i = state.values, state.values.argmin()
         if not h[i] <= 0.0:
@@ -269,22 +252,22 @@ def _krylov_step(state: SupportFunction, r, p, q, iterations: list) -> np.ndarra
                                     f" {state.grid.theta[i]:.6f}; {exc}") from None
 
 
-def _gmres(apply, precondition, preconditioned, rhs: np.ndarray, iterations: list):
-    """Solve apply(x) = rhs by restarted GMRES, right-preconditioned.
+def _gmres(product, rhs: np.ndarray, iterations: list):
+    """Solve J x = rhs by restarted GMRES, right-preconditioned by M.
 
     GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7, 1986) runs on
-    preconditioned(z) = rhs and returns x = precondition(z).  A cycle
-    builds at most KRYLOV_RESTART Arnoldi vectors, orthogonalized by
+    J M^-1 z = rhs, where ``product(z)`` gives (x, J x) with x = M^-1 z.  A
+    cycle builds at most KRYLOV_RESTART Arnoldi vectors, orthogonalized by
     classical Gram-Schmidt run twice, which keeps them orthogonal to working
     precision (Giraud et al., Numer. Math. 101, 2005) in four matrix-vector
     products instead of a Python loop of dot products.  Givens rotations keep
     the small least-squares problem triangular and give its residual norm at
     each iteration; a cycle ends when that falls to KRYLOV_RTOL ||rhs||.
-    Success is judged on the true residual of x, recomputed after each cycle,
-    which also restarts the next one, up to KRYLOV_CYCLES: the rule of
-    scipy's ``gmres``, whose iteration counts it reproduces.  The count is
-    appended to ``iterations``; a miss raises SingularJacobianError naming
-    it and the relative residual reached.
+    Success is judged on the true residual rhs - J x of the cycle's x, from
+    the same product call, which also restarts the next cycle, up to
+    KRYLOV_CYCLES: the rule of scipy's ``gmres``, whose iteration counts it
+    reproduces.  The count is appended to ``iterations``; a miss raises
+    SingularJacobianError naming it and the relative residual reached.
     """
     m = KRYLOV_RESTART
     rhs_norm = float(np.linalg.norm(rhs))
@@ -299,7 +282,7 @@ def _gmres(apply, precondition, preconditioned, rhs: np.ndarray, iterations: lis
         g = [beta]  # rotated right-hand side; |g[-1]| is the residual norm
         rotations = []
         for j in range(m):
-            w = preconditioned(basis[j])
+            w = product(basis[j])[1]
             known = basis[: j + 1]
             coef = known @ w
             w -= coef @ known
@@ -325,8 +308,8 @@ def _gmres(apply, precondition, preconditioned, rhs: np.ndarray, iterations: lis
         k = len(rotations)
         y, _ = _TRTRS(tri[:k, :k], np.array(g[:k]))
         z += y @ basis[:k]
-        x = precondition(z)
-        res = rhs - apply(x)
+        x, jx = product(z)
+        res = rhs - jx
         res_norm = float(np.linalg.norm(res))
         if res_norm <= target:
             iterations.append(count)
@@ -524,6 +507,7 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
     if initial is not None:
         if initial.grid.n_points != grid.n_points:
             raise ValueError("initial body must live on the data grid")
+        _require_finite(initial.h, "initial body")
         state, res_sup = _newton_stage(_state(initial.values.copy(), grid, validate=False),
                                        f.values, p, q, cfg, trace, 1.0)
         stages.append(len(trace))

@@ -151,6 +151,14 @@ class TestBoundary:
         residual = (xy[:, 0] / 2.0) ** 2 + xy[:, 1] ** 2 - 1.0
         assert np.max(np.abs(residual)) < 1e-10
 
+    def test_vanishing_curvature_warns(self, grid256):
+        # h = 1 + cos(2 theta) / 3 has curvature density 1 - cos(2 theta),
+        # zero at theta = 0 and pi, where boundary points may repeat
+        body = from_samples(1.0 + np.cos(2.0 * grid256.theta) / 3.0, grid256)
+        with pytest.warns(s1mk.DegenerateCurvatureWarning, match="nearly vanishes"):
+            xy = boundary_xy(body)
+        assert xy.shape == (256, 2)
+
     def test_rho_at_normal_is_boundary_distance(self, grid256):
         body = s1mk.random_convex_body(np.random.default_rng(5), grid256)
         xy = boundary_xy(body)

@@ -54,6 +54,16 @@ class TestSolveCommand:
         assert sum(steps for _, steps in rep["levels"]) == rep["iterations"]
         assert 0.0 < rep["tail_ratio"] < 1.0 and 0.0 < rep["level_gap"] < 1e-6
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_constant_data_is_invalid(self, tmp_path, capsys, value):
+        code = main(["solve", "--p", "0.5", "--q", "2", "--f-const", value, "--grid", "64",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert f"data f has the non-finite sample {value} at theta = 0.000000" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "solution.json").exists()
+
     def test_equal_exponents_rejected(self, tmp_path):
         code = main(["solve", "--p", "2", "--q", "2", "--f-const", "1",
                      "--out", str(tmp_path)])
@@ -130,6 +140,12 @@ class TestMeasuresCommand:
         bad.write_text(json.dumps({"radius": 1.0}))
         code = main(["measures", str(bad), "--out", str(tmp_path)])
         assert code == 64
+
+    def test_unreadable_body_file(self, tmp_path, capsys):
+        # a missing file and a directory: both are OSErrors on open
+        for path in (tmp_path / "missing.json", tmp_path):
+            assert main(["measures", str(path), "--out", str(tmp_path)]) == 64
+            assert f"cannot read {path}" in capsys.readouterr().err
 
     def test_malformed_body_file(self, tmp_path):
         bad = tmp_path / "bad.json"

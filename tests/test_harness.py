@@ -1,4 +1,5 @@
 import csv
+import json
 from functools import lru_cache
 
 import numpy as np
@@ -8,6 +9,7 @@ from s1mk import (
     EllipseSolveError,
     ExperimentConfig,
     Grid,
+    InvariantViolationError,
     ParameterRangeError,
     PeriodicSamples,
     StagnationError,
@@ -295,6 +297,29 @@ class TestRunUniqueness:
                                             out_dir=str(tmp_path)))
 
 
+class TestUniquenessFailures:
+    @pytest.mark.parametrize("failure", ["raises", "unconverged"])
+    def test_failed_start_is_counted(self, monkeypatch, failure):
+        # the first of four starts fails; it must count as a failure, and
+        # three agreeing limits must not count as agreement
+        real, calls = harness.solve, []
+
+        def first_fails(params, initial, config):
+            calls.append(initial)
+            if len(calls) == 1 and failure == "raises":
+                raise StagnationError("forced", trace=[])
+            rep = real(params, initial, config)
+            rep.converged = rep.converged and len(calls) > 1
+            return rep
+
+        monkeypatch.setattr(harness, "solve", first_fails)
+        cfg = ExperimentConfig(kind="uniqueness", p=0.5, q=2.0, starts=4, n_points=64)
+        rec = harness._uniqueness_instance(cfg, 0.05, np.random.SeedSequence(0), Grid(64))
+        assert len(calls) == 4
+        assert rec["failures"] == 1 and rec["converged"] == 3 and rec["agree"] is False
+        assert rec["max_pairwise_sup"] <= harness.AGREE_TOL
+
+
 class TestRunMaxPrinciple:
     def test_small_sweep(self, tmp_path):
         cfg = ExperimentConfig(kind="maxprinciple", p=3.0, q=2.0, lam=2.0,
@@ -305,6 +330,20 @@ class TestRunMaxPrinciple:
         assert s["violations"] == 0
         assert s["worst_margin"] >= -1e-6
         assert s["constant_data_equality_gap"] <= 1e-8
+
+    def test_violation_is_dumped_and_raised(self, tmp_path, monkeypatch):
+        # a negative slack turns every sample's true margin into a violation
+        monkeypatch.setattr(harness, "MAXPRINCIPLE_SLACK", -1.0)
+        cfg = ExperimentConfig(kind="maxprinciple", p=3.0, q=2.0, lam=2.0,
+                               n_samples=3, seed=0, n_points=128,
+                               out_dir=str(tmp_path))
+        with pytest.raises(InvariantViolationError, match=r"max principle violated on"
+                                                          r" sample 0: max h = "):
+            run_maxprinciple(cfg)
+        dump = json.loads((tmp_path / "maxprinciple_violation_000.json").read_text())
+        assert len(dump["f"]) == 128 and dump["record"]["id"] == "s000"
+        assert dump["record"]["margin"] >= -1e-6
+        assert not (tmp_path / "maxprinciple_summary.json").exists()
 
     def test_requires_p_above_q(self, tmp_path):
         with pytest.raises(ParameterRangeError):

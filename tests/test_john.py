@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -59,9 +60,10 @@ class TestEllipse:
 
     def test_json_roundtrip(self):
         ell = Ellipse((0.2, -0.1), 2.0, 1.0, 0.3)
-        back = ellipse_from_json(ellipse_to_json(ell))
-        assert _ellipse_err(back, ell.r1, ell.r2, ell.center) == 0.0
-        assert back.angle == ell.angle
+        for data in (ellipse_to_json(ell), json.dumps(ellipse_to_json(ell))):
+            back = ellipse_from_json(data)
+            assert _ellipse_err(back, ell.r1, ell.r2, ell.center) == 0.0
+            assert back.angle == ell.angle
 
 
 class TestJohnRecovery:

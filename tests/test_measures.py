@@ -153,6 +153,17 @@ class TestProblemParams:
         with pytest.raises(ValueError):
             ProblemParams(0.5, 2.0, f, lam=2.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("lam", [None, 2.0])
+    def test_rejects_non_finite_data(self, grid256, bad, lam):
+        # NaN passes "min f <= 0" and "f range" tests; name the sample instead
+        vals = np.ones(256)
+        vals[[7, 9]] = bad
+        with pytest.raises(ValueError, match=rf"data f has the non-finite sample {bad}"
+                                             r" at theta = 0\.171806$"):
+            ProblemParams(0.5, 2.0, PeriodicSamples(vals, grid256), lam=lam)
+
 
 class TestExtrapolation:
     def test_exact_on_quadratic(self):

@@ -73,6 +73,18 @@ class TestResidual:
             residual(unit_disk, params)
 
 
+def _assert_product_matches_dense(product, jac, rng):
+    """The preconditioned FFT product's J x, for the x = M^-1 v it returns,
+    against the round trip through x's samples by the dense Jacobian, whose
+    k^2 entries amplify roundoff by about n^2."""
+    n = jac.shape[0]
+    for _ in range(3):
+        x, jx = product(rng.standard_normal(n))
+        ref = jac @ x
+        err = np.max(np.abs(jx - ref)) / np.max(np.abs(ref))
+        assert err <= n * n * np.finfo(float).eps, (n, err)
+
+
 class TestJacobian:
     def test_modes_at_unit_disk(self, grid256, unit_disk):
         # linearization at h == 1 for q = 2 acts as v -> v'' + (2 - p) v,
@@ -140,17 +152,11 @@ class TestJacobian:
         import s1mk
         grid = Grid(512)
         body = s1mk.random_convex_body(np.random.default_rng(13), grid)
-        params = _params(p, q, grid)
         coef = solver._jacobian_coefficients(body, p, q)
         assert (coef[1] is None) == (q == 2.0)
-        product = solver._fft_jacobian(*coef)
-        jac = jacobian(body, params)
-        rng = np.random.default_rng(7)
-        for _ in range(3):
-            v = rng.standard_normal(512)
-            ref = jac @ v
-            err = np.max(np.abs(product(v) - ref)) / np.max(np.abs(ref))
-            assert err <= 1e-12, (p, q, err)
+        _assert_product_matches_dense(solver._fft_preconditioner(*coef),
+                                      jacobian(body, _params(p, q, grid)),
+                                      np.random.default_rng(7))
 
     @pytest.mark.parametrize("q", [2.0, 3.0])
     @pytest.mark.parametrize("n", [64, 128, 192])
@@ -168,34 +174,33 @@ class TestJacobian:
 
 
 def _polish_system(q, n=512, seed=1):
-    """A Krylov polish system: the FFT Jacobian at a perturbed n-point
-    solution of bump data, its preconditioner, the fused preconditioned
-    product, -residual and dense Jacobian."""
+    """A Krylov polish system: the preconditioned FFT product z -> (M^-1 z,
+    J M^-1 z) at a perturbed n-point solution of bump data, -residual and
+    the dense Jacobian."""
     grid = Grid(n)
     params = _params(0.5, q, grid, seed=seed, kind="bump")
     h = solve(params).body.values * (1.0 + 0.01 * np.cos(3.0 * grid.theta))
     state = solver._state(h, grid, validate=False)
     coef = solver._jacobian_coefficients(state, 0.5, q)
     rhs = -residual(state, params).values
-    return (solver._fft_jacobian(*coef), *solver._fft_preconditioner(*coef), rhs,
-            jacobian(state, params))
+    return solver._fft_preconditioner(*coef), rhs, jacobian(state, params)
 
 
 class TestGmres:
     @pytest.mark.parametrize("q", [2.0, 3.0])
     def test_matches_dense_solve_and_scipy_counts(self, q, monkeypatch):
         from scipy.sparse.linalg import LinearOperator, gmres
-        product, precondition, preconditioned, rhs, jac = _polish_system(q)
+        product, rhs, jac = _polish_system(q)
         dense = np.linalg.solve(jac, rhs)
         for rtol, agree in ((solver.KRYLOV_RTOL, 1e-4), (1e-11, 1e-8)):
             monkeypatch.setattr(solver, "KRYLOV_RTOL", rtol)
             counts = []
-            x = solver._gmres(product, precondition, preconditioned, rhs, counts)
-            assert np.linalg.norm(product(x) - rhs) <= rtol * np.linalg.norm(rhs)
+            x = solver._gmres(product, rhs, counts)
+            assert np.linalg.norm(jac @ x - rhs) <= rtol * np.linalg.norm(rhs)
             assert np.max(np.abs(x - dense)) <= agree * np.max(np.abs(dense)), rtol
             # scipy's gmres on the operator whose Krylov space _gmres builds
             n = rhs.shape[0]
-            op = LinearOperator((n, n), matvec=preconditioned, dtype=float)
+            op = LinearOperator((n, n), matvec=lambda v: product(v)[1], dtype=float)
             history = []
             _, info = gmres(op, rhs, rtol=rtol, atol=0.0, restart=solver.KRYLOV_RESTART,
                             maxiter=solver.KRYLOV_CYCLES, callback=history.append,
@@ -203,28 +208,27 @@ class TestGmres:
             assert info == 0 and counts == [len(history)] and len(history) > 1, rtol
 
     def test_restarts_until_the_true_residual_meets_the_tolerance(self, monkeypatch):
-        product, precondition, preconditioned, rhs, _ = _polish_system(3.0)
+        product, rhs, jac = _polish_system(3.0)
         monkeypatch.setattr(solver, "KRYLOV_RESTART", 2)
         monkeypatch.setattr(solver, "KRYLOV_CYCLES", 50)
         counts = []
-        x = solver._gmres(product, precondition, preconditioned, rhs, counts)
-        assert np.linalg.norm(product(x) - rhs) <= solver.KRYLOV_RTOL * np.linalg.norm(rhs)
+        x = solver._gmres(product, rhs, counts)
+        assert np.linalg.norm(jac @ x - rhs) <= solver.KRYLOV_RTOL * np.linalg.norm(rhs)
         assert counts[0] > 2 * solver.KRYLOV_RESTART
 
 
 class TestFusedProduct:
-    # J M^-1 v from one rfft and one irfft, against the round trip through
-    # M^-1 v's samples, whose k^2 multiplier amplifies roundoff by about n^2
     @pytest.mark.parametrize("q", [2.0, 3.0])
     @pytest.mark.parametrize("n", [128, 512, 1024])
     def test_matches_the_round_trip(self, n, q):
-        product, precondition, preconditioned, _, _ = _polish_system(q, n)
-        rng = np.random.default_rng(n)
-        for _ in range(3):
-            v = rng.standard_normal(n)
-            ref = product(precondition(v))
-            err = np.max(np.abs(preconditioned(v) - ref)) / np.max(np.abs(ref))
-            assert err <= n * n * np.finfo(float).eps, (n, q, err)
+        product, _, jac = _polish_system(q, n)
+        _assert_product_matches_dense(product, jac, np.random.default_rng(n))
+
+    def test_vanishing_symbol(self, unit_disk):
+        # at p = 1, q = 2 the unit disk's linearization v -> v'' + v has
+        # constant coefficients, and its symbol 1 - k^2 kills the translations
+        with pytest.raises(SingularJacobianError, match="symbol vanishes at a Fourier mode"):
+            solver._fft_preconditioner(*solver._jacobian_coefficients(unit_disk, 1.0, 2.0))
 
 
 class TestDenseStep:
@@ -500,6 +504,17 @@ class TestSolve:
     def test_initial_grid_mismatch(self, grid256):
         with pytest.raises(ValueError, match="initial body"):
             solve(_params(0.5, 2.0, grid256), initial=disk(Grid(128)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_initial_is_named(self, grid256):
+        # an unvalidated start with a NaN sample is refused before any Newton
+        # step, instead of returning converged=False after 0 iterations
+        vals = disk(grid256).values.copy()
+        vals[5] = np.nan
+        start = SupportFunction(PeriodicSamples(vals, grid256), validate=False)
+        with pytest.raises(ValueError, match=r"initial body has the non-finite sample nan"
+                                             r" at theta = 0\.122718$"):
+            solve(_params(0.5, 2.0, grid256), initial=start)
 
 
 class TestReport:
