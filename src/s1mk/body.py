@@ -45,6 +45,51 @@ def convexity_tol(values: np.ndarray) -> float:
     return 1e-9 * max(float(values.max()), 1e-300)
 
 
+def _check_samples(vals: np.ndarray, grid: Grid) -> None:
+    """Raise NegativeSupportError on a negative or NaN sample, NonconvexError on +inf."""
+    # one reduction per invariant: ndarray.argmin costs a quarter of ndarray.min
+    i = vals.argmin()
+    # written as "not >=" so that NaN, which argmin returns first, fails
+    if not vals[i] >= 0.0:
+        what = f"{vals[i]:.3e} < 0" if np.isfinite(vals[i]) else "non-finite"
+        raise NegativeSupportError(f"support value {what} at theta = {grid.theta[i]:.6f}",
+                                   theta=float(grid.theta[i]), value=float(vals[i]))
+    # an infinite support value would leave NaN everywhere in the curvature
+    k = vals.argmax()
+    if vals[k] == np.inf:
+        raise NonconvexError(
+            f"curvature density non-finite: support value inf at "
+            f"theta = {grid.theta[k]:.6f}",
+            theta=float(grid.theta[k]),
+            value=float(vals[k]),
+        )
+
+
+def _check_curvature(curv: np.ndarray, vals: np.ndarray, grid: Grid, tol_convex: float) -> None:
+    """Raise NonconvexError where the curvature density h'' + h is below -tol_convex."""
+    j = curv.argmin()
+    if not curv[j] >= -tol_convex:
+        what = (f"{curv[j]:.6e} < -{tol_convex:.1e}" if np.isfinite(curv[j])
+                else "non-finite")
+        raise NonconvexError(
+            f"curvature density {what} at theta = {grid.theta[j]:.6f}"
+            f" (samples' Fourier tail ratio {tail_ratio(vals):.1e})",
+            theta=float(grid.theta[j]),
+            value=float(curv[j]),
+        )
+
+
+def _validate_rows(h: np.ndarray, curv: np.ndarray, grid: Grid) -> None:
+    """Validate each row of (support values, h'' + h) as a body with the default tolerance.
+
+    Rows are checked in order, so the first failing row raises the error the
+    body of its samples would.
+    """
+    for vals, c in zip(h, curv):
+        _check_samples(vals, grid)
+        _check_curvature(c, vals, grid, convexity_tol(vals))
+
+
 class SupportFunction:
     """Validated support-function samples with cached derivatives."""
 
@@ -76,34 +121,9 @@ class SupportFunction:
         return body
 
     def _validate(self):
-        # one reduction per invariant: ndarray.argmin costs a quarter of ndarray.min
-        vals = self.h.values
-        i = vals.argmin()
-        # written as "not >=" so that NaN, which argmin returns first, fails
-        if not vals[i] >= 0.0:
-            what = f"{vals[i]:.3e} < 0" if np.isfinite(vals[i]) else "non-finite"
-            raise NegativeSupportError(f"support value {what} at theta = {self.h.theta[i]:.6f}",
-                                       theta=float(self.h.theta[i]), value=float(vals[i]))
-        # an infinite support value would leave NaN everywhere in the curvature
-        k = vals.argmax()
-        if vals[k] == np.inf:
-            raise NonconvexError(
-                f"curvature density non-finite: support value inf at "
-                f"theta = {self.h.theta[k]:.6f}",
-                theta=float(self.h.theta[k]),
-                value=float(vals[k]),
-            )
-        curv = self.curvature.values
-        j = curv.argmin()
-        if not curv[j] >= -self.tol_convex:
-            what = (f"{curv[j]:.6e} < -{self.tol_convex:.1e}" if np.isfinite(curv[j])
-                    else "non-finite")
-            raise NonconvexError(
-                f"curvature density {what} at theta = {self.h.theta[j]:.6f}"
-                f" (samples' Fourier tail ratio {tail_ratio(vals):.1e})",
-                theta=float(self.h.theta[j]),
-                value=float(curv[j]),
-            )
+        vals, grid = self.h.values, self.h.grid
+        _check_samples(vals, grid)
+        _check_curvature(self.curvature.values, vals, grid, self.tol_convex)
 
     @property
     def grid(self) -> Grid:
@@ -226,10 +246,13 @@ def radial(body: SupportFunction, out_grid: Grid | None = None) -> PeriodicSampl
     return PeriodicSamples(rho, out_grid)
 
 
+def _areas(h: np.ndarray, curv: np.ndarray, grid: Grid):
+    """Area (1/2) integral h (h'' + h) of the samples, row by row for 2-D arrays."""
+    return 0.5 * ((h * curv).sum(axis=-1) * grid.spacing)
+
+
 def area(body: SupportFunction) -> float:
-    h = body.h
-    curv = body.curvature
-    return 0.5 * integrate(PeriodicSamples(h.values * curv.values, body.grid))
+    return float(_areas(body.values, body.curvature.values, body.grid))
 
 
 def perimeter(body: SupportFunction) -> float:
@@ -285,11 +308,18 @@ def p_sum(k: SupportFunction, l: SupportFunction, t: float, p: float) -> Support
         raise ParameterRangeError(f"p-sum needs p >= 1, got p = {p}")
     if t < 0.0:
         raise ValueError(f"scale t must be nonnegative, got {t}")
-    hl = _common_grid(k, l)
-    if np.min(k.values) <= 0.0 or np.min(hl.values) <= 0.0:
+    hl = _common_grid(k, l).values
+    return SupportFunction(PeriodicSamples(_firey(k.values, hl, t, p), k.grid))
+
+
+def _firey(hk: np.ndarray, hl: np.ndarray, t, p: float, hlp=None) -> np.ndarray:
+    """(h_K^p + t h_L^p)^(1/p), with h_L^p given or computed after the positivity
+    check; a column of t gives one row per t."""
+    if np.min(hk) <= 0.0 or np.min(hl) <= 0.0:
         raise ValueError("p-sum needs strictly positive support functions")
-    vals = (k.values**p + t * hl.values**p) ** (1.0 / p)
-    return SupportFunction(PeriodicSamples(vals, k.grid))
+    if hlp is None:
+        hlp = hl**p
+    return (hk**p + t * hlp) ** (1.0 / p)
 
 
 def translate(body: SupportFunction, vec) -> SupportFunction:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -36,6 +37,7 @@ from .grid import Grid, PeriodicSamples, diff
 from .john import containment_report, john, sandwich_c2, sandwich_ratio
 from .measures import (
     ProblemParams,
+    _require_finite_scalars,
     check_aleksandrov,
     check_dual_variational,
     check_lp_variational,
@@ -76,8 +78,9 @@ class ExperimentConfig:
         self.eps = tuple(self.eps)
         if not self.eps:
             raise ValueError("eps needs at least one deviation level")
-        if self.lam < 1.0:
-            raise ValueError("lambda bound must be >= 1")
+        _require_finite_scalars(p=self.p, q=self.q)
+        if not 1.0 <= self.lam < math.inf:  # NaN fails too
+            raise ValueError(f"lambda bound must be finite and >= 1, got {self.lam}")
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +94,8 @@ def gen_f(kind: str, lam: float, seed, grid: Grid) -> PeriodicSamples:
     a flat background), "piecewise" (random plateaus, Fourier smoothed).  The
     draw does not depend on lam, only the final affine rescaling does.
     """
-    if lam < 1.0:
-        raise ValueError(f"lambda bound must be >= 1, got {lam}")
+    if not 1.0 <= lam < math.inf:  # NaN fails too
+        raise ValueError(f"lambda bound must be finite and >= 1, got {lam}")
     rng = np.random.default_rng(seed)
     t = grid.theta
     if kind == "trig":

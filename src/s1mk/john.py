@@ -379,8 +379,8 @@ def sandwich_ratio(body: SupportFunction, p: float, q: float,
     """
     if not (0.0 <= p <= 1.0):
         raise ParameterRangeError(f"sandwich ratio needs p in [0, 1], got {p}")
-    if q < 2.0:
-        raise ParameterRangeError(f"sandwich ratio needs q >= 2, got {q}")
+    if not 2.0 <= q < math.inf:  # NaN fails too
+        raise ParameterRangeError(f"sandwich ratio needs finite q >= 2, got {q}")
     if ellipse is None:
         ellipse = john(body)
     total = lp_dual_density(body, p, q).total

@@ -64,6 +64,14 @@ class TestSolveCommand:
             capsys.readouterr().err
         assert not (tmp_path / "solution.json").exists()
 
+    @pytest.mark.parametrize("data", [[], ["--f-const", "1"]], ids=["generated", "constant"])
+    def test_non_finite_lambda_is_invalid(self, tmp_path, capsys, data):
+        code = main(["solve", "--p", "0.5", "--q", "2", "--lambda", "nan", *data,
+                     "--grid", "64", "--out", str(tmp_path)])
+        assert code == 2
+        assert "finite and >= 1, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "solution.json").exists()
+
     def test_equal_exponents_rejected(self, tmp_path):
         code = main(["solve", "--p", "2", "--q", "2", "--f-const", "1",
                      "--out", str(tmp_path)])
@@ -269,6 +277,13 @@ class TestSweepCommand:
                      "--out", str(tmp_path)])
         assert code == 0
         assert "empirical_uniqueness_radius=0.05" in capsys.readouterr().out
+
+    def test_non_finite_exponent_is_invalid(self, tmp_path, capsys):
+        code = main(["sweep", "sandwich", "--p", "0.5", "--q", "nan",
+                     "--samples", "2", "--grid", "64", "--out", str(tmp_path)])
+        assert code == 2
+        assert "parameter q must be finite, got nan" in capsys.readouterr().err
+        assert not (tmp_path / "sandwich.csv").exists()
 
     def test_uniqueness_needs_two_starts(self, tmp_path, capsys):
         code = main(["sweep", "uniqueness", "--p", "0.5", "--q", "2",

@@ -85,6 +85,11 @@ class TestGenF:
         with pytest.raises(ValueError):
             gen_f("trig", 0.5, 0, grid256)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_lambda(self, bad):
+        with pytest.raises(ValueError, match=f"lambda bound must be finite and >= 1, got {bad}"):
+            gen_f("trig", bad, 0, Grid(64))
+
 
 class TestBodyGenerators:
     def test_random_convex_body_margins(self, grid256):
@@ -359,6 +364,15 @@ class TestConfigValidation:
     def test_lambda_bound(self):
         with pytest.raises(ValueError):
             ExperimentConfig(kind="sandwich", p=0.5, q=2.0, lam=0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["p", "q", "lam"])
+    def test_non_finite_parameters(self, name, bad):
+        # NaN passes every range test written as "x < bound"
+        params = {"p": 0.5, "q": 2.0, "lam": 2.0, name: bad}
+        named = {"p": "parameter p", "q": "parameter q", "lam": "lambda bound"}[name]
+        with pytest.raises(ValueError, match=f"{named} must be finite.*{bad}"):
+            ExperimentConfig(kind="diameter", **params)
 
     @pytest.mark.parametrize("starts", [0, 1])
     def test_start_count(self, starts):

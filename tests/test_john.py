@@ -460,3 +460,11 @@ class TestSandwich:
             sandwich_ratio(unit_disk, 1.5, 2.0)
         with pytest.raises(ParameterRangeError):
             sandwich_ratio(unit_disk, 0.5, 1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_exponents(self, unit_disk, bad):
+        ell = Ellipse((0.0, 0.0), 1.0, 1.0, 0.0)
+        with pytest.raises(ParameterRangeError, match=f"p in \\[0, 1\\], got {bad}"):
+            sandwich_ratio(unit_disk, bad, 2.0, ellipse=ell)
+        with pytest.raises(ParameterRangeError, match=f"finite q >= 2, got {bad}"):
+            sandwich_ratio(unit_disk, 0.5, bad, ellipse=ell)

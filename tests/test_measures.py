@@ -23,7 +23,8 @@ from s1mk import (
     surface_density,
     translate,
 )
-from s1mk.measures import _one_sided_slopes
+from s1mk.errors import NegativeSupportError, NonconvexError
+from s1mk.measures import VARIATION_STEPS
 
 
 class TestDensities:
@@ -148,6 +149,15 @@ class TestProblemParams:
         with pytest.raises(ValueError):
             ProblemParams(0.5, 2.0, f, lam=0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["p", "q", "lam"])
+    def test_rejects_non_finite_parameters(self, grid256, name, bad):
+        # NaN passes every range test written as "x < bound"
+        params = {"p": 0.5, "q": 2.0, "lam": 2.0, name: bad}
+        f = PeriodicSamples(np.ones(256), grid256)
+        with pytest.raises(ValueError, match=rf"\b{name}\b.* finite.*{bad}"):
+            ProblemParams(f=f, **params)
+
     def test_rejects_data_outside_band(self, grid256):
         f = PeriodicSamples(np.full(256, 3.0), grid256)
         with pytest.raises(ValueError):
@@ -180,11 +190,85 @@ class TestExtrapolation:
         d = disk(grid256)
         exact = check_aleksandrov(ellipse21, d).rhs_integral
         steps = (4e-3, 2e-3, 1e-3, 5e-4)
-        slopes = _one_sided_slopes(
-            lambda t: area(s1mk.minkowski_sum(ellipse21, d, t)), steps)
+        base = area(ellipse21)
+        slopes = [(area(s1mk.minkowski_sum(ellipse21, d, t)) - base) / t for t in steps]
         errs = [abs(s - exact) for s in slopes]
         for a, b in zip(errs, errs[1:]):
             assert 1.7 < a / b < 2.3
+
+
+def _per_body_slopes(kind, k, l, x):
+    """Difference quotients along the path built one validated body at a time."""
+    if kind == "aleksandrov":
+        volume, path = area, lambda t: s1mk.minkowski_sum(k, l, t)
+    elif kind == "lp":
+        volume, path = area, lambda t: s1mk.p_sum(k, l, t, x)
+    else:
+        volume, path = (lambda b: dual_volume(b, x)), lambda t: s1mk.minkowski_sum(k, l, t)
+    base = volume(k)
+    return tuple((volume(path(s)) - base) / s for s in VARIATION_STEPS)
+
+
+def _check(kind, k, l, x):
+    if kind == "aleksandrov":
+        return check_aleksandrov(k, l)
+    if kind == "lp":
+        return check_lp_variational(k, l, x)
+    return check_dual_variational(k, l, x)
+
+
+def _variational_pairs(n):
+    """run_variational's ten (check, K, L, exponent) cases on n points, and one
+    case of each check whose L lies on a grid of 2n points."""
+    grid = Grid(n)
+    d1, d2 = disk(grid), disk(grid, radius=2.0)
+    off, ell = disk(grid, 1.0, center=(0.3, 0.0)), s1mk.ellipse_body(grid, 2.0, 1.0)
+    ell2n = s1mk.ellipse_body(Grid(2 * n), 2.0, 1.0)
+    return [("aleksandrov", d1, d1, None), ("aleksandrov", d1, ell, None),
+            ("aleksandrov", ell, off, None), ("lp", d1, ell, 1.0), ("lp", d2, d1, 2.0),
+            ("lp", ell, d1, 3.0), ("dual", d1, d1, 2.0), ("dual", off, d1, 2.0),
+            ("dual", d2, d1, 3.0), ("dual", ell, d1, 3.0),
+            ("aleksandrov", ell, ell2n, None), ("lp", ell, ell2n, 2.0), ("dual", ell, ell2n, 3.0)]
+
+
+class TestStackedPath:
+    """The checks evaluate a path as stacked rows; each slope must still equal
+    the per-body difference quotient bit for bit."""
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_slopes_match_per_body_route(self, n):
+        for kind, k, l, x in _variational_pairs(n):
+            rep = _check(kind, k, l, x)
+            assert rep.slopes == _per_body_slopes(kind, k, l, x), (kind, n, l.grid)
+            assert rep.lhs_slope == extrapolate_to_zero(VARIATION_STEPS, rep.slopes)
+
+    @pytest.mark.parametrize("kind,x,defect,error", [
+        ("aleksandrov", None, "nonconvex", NonconvexError),
+        ("lp", 1.0, "nonconvex", NonconvexError),
+        ("lp", 3.0, "nonconvex", NonconvexError),
+        ("dual", 3.0, "nonconvex", NonconvexError),
+        ("aleksandrov", None, "negative", NegativeSupportError),
+        # the per-body routes reject K itself before building a path body:
+        # p_sum needs h_K > 0, and K's dual volume needs the origin inside
+        ("lp", 1.0, "negative", ValueError),
+        ("dual", 3.0, "negative", OriginOnBoundaryError),
+    ])
+    def test_invalid_k_raises_the_path_body_error(self, grid256, unit_disk,
+                                                  kind, x, defect, error):
+        t = grid256.theta
+        # 1 + 0.1 cos 4t has h'' + h = 1 - 1.5 cos 4t; 1 + 1.5 cos t is the unit
+        # disk moved by 1.5, so its support dips to -0.5 at t = pi
+        vals = 1.0 + 0.1 * np.cos(4 * t) if defect == "nonconvex" else 1.0 + 1.5 * np.cos(t)
+        k = SupportFunction(PeriodicSamples(vals, grid256), validate=False)
+        with pytest.raises(error) as route:
+            _per_body_slopes(kind, k, unit_disk, x)
+        with pytest.raises(error) as stacked:
+            _check(kind, k, unit_disk, x)
+        assert type(stacked.value) is type(route.value)
+        assert str(stacked.value) == str(route.value)
+        if error in (NonconvexError, NegativeSupportError):
+            assert (stacked.value.theta, stacked.value.value) == \
+                (route.value.theta, route.value.value)
 
 
 class TestVariationalIdentities:
