@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import (SupportFunction, _areas, _common_grid, _firey, _validate_rows,
-                   perimeter)
+from .body import (SupportFunction, _areas, _check_samples, _common_grid, _firey,
+                   _validate_rows, perimeter)
 # ``radial`` is unused here but stays a module attribute: the benchmark's
 # tracer hooks s1mk.measures.radial.
 from .body import radial  # noqa: F401
@@ -264,10 +264,13 @@ def check_lp_variational(k: SupportFunction, l: SupportFunction,
     """First variation of area along the Firey path against the p-measure pairing.
 
     The path (h_K^p + t h_L^p)^(1/p) is evaluated in one stacked pass that
-    shares h_L^p with the right side; its rows are differentiated.
+    shares h_L^p with the right side; its rows are differentiated.  K's
+    samples are validated first, so a negative one raises
+    ``NegativeSupportError`` with its angle and value.
     """
     if p < 1.0:
         raise ParameterRangeError(f"variational check needs p >= 1, got {p}")
+    _check_samples(k.values, k.grid)
     hl = _common_grid(k, l).values
     hlp = hl**p
     integrand = hlp * _lp_factor(k.values, p)[0] * k.curvature.values

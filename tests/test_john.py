@@ -214,6 +214,12 @@ class TestContainment:
             assert rep["boundary_outside_E"]
 
 
+def _resampled(seed, n):
+    """A random body of 256 samples, resampled to n points."""
+    coarse = s1mk.random_convex_body(np.random.default_rng(seed), Grid(256))
+    return from_samples(resample(coarse.h, Grid(n)).values, Grid(n))
+
+
 def _working_fit(pinned):
     """Constraints, pinned center (or None) and barrier solution of a random
     body's fit, in john()'s working coordinates."""
@@ -262,13 +268,89 @@ class TestBarrierStopping:
         assert info.value.best is not None and info.value.best.shape == (5,)
 
     def test_long_damped_stages_at_n_8192(self):
-        # These fits spend more than 80 Newton steps in a damped phase at
-        # t of about 1e7 (p: centroid-pinned); none needs more than 400.
+        # Fits over all 8192 normals spend more than 80 Newton steps in a
+        # damped phase at t of about 1e7 (p: centroid-pinned); none needs more
+        # than 400.  john() fits these bodies on a working set, where no such
+        # phase occurs, so the barrier runs on the full constraints here.
         for label in ("8p", "26", "26p", "37", "87", "92p", "99p"):
-            coarse = s1mk.random_convex_body(
-                np.random.default_rng(int(label.rstrip("p"))), Grid(256))
-            body = from_samples(resample(coarse.h, Grid(8192)).values, Grid(8192))
-            john(body, center=centroid(body) if label.endswith("p") else None)
+            body = _resampled(int(label.rstrip("p")), 8192)
+            normals, offsets, shift, scale = JOHN_MODULE._support_constraints(body)
+            pinned = label.endswith("p")
+            c = (centroid(body) - shift) / scale if pinned else np.zeros(2)
+            JOHN_MODULE._barrier_solve(normals, offsets, c, pinned=pinned)
+
+
+class TestWorkingSet:
+    @staticmethod
+    def _fits(body):
+        """Working coordinates of the body's free and centroid-pinned fits:
+        (normals, offsets, pinned, start center) each."""
+        normals, offsets, shift, scale = JOHN_MODULE._support_constraints(body)
+        for pinned in (False, True):
+            c = (centroid(body) - shift) / scale if pinned else np.zeros(2)
+            yield normals, offsets, pinned, c
+
+    @staticmethod
+    def _slack(normals, offsets, x, c):
+        """b_i - <a_i, c> - ||B a_i|| at every normal for the solution x."""
+        b = np.array([[x[0], x[2]], [x[2], x[1]]])
+        return offsets - normals @ c - np.linalg.norm(normals @ b, axis=1)
+
+    @pytest.mark.parametrize("n", [256, 2048])
+    def test_full_set_up_to_2048_normals(self, monkeypatch, n):
+        # john() makes one barrier fit over all normals and returns its answer
+        calls = []
+        inner = JOHN_MODULE._barrier_solve
+
+        def recorded(normals, offsets, center, pinned=False):
+            calls.append((normals, offsets, inner(normals, offsets, center, pinned)))
+            return calls[-1][2]
+        monkeypatch.setattr(JOHN_MODULE, "_barrier_solve", recorded)
+        body = _resampled(3, n)
+        for normals, offsets, pinned, c in self._fits(body):
+            calls.clear()
+            john(body, center=centroid(body) if pinned else None)
+            assert len(calls) == 1
+            assert np.array_equal(calls[0][0], normals)
+            assert np.array_equal(calls[0][1], offsets)
+            assert np.array_equal(calls[0][2], inner(normals, offsets, c, pinned))
+
+    def test_agrees_with_full_fit_at_8192(self):
+        bodies = [body for _, body in s1mk.eccentric_battery()]
+        bodies += [_resampled(seed, 8192) for seed in range(10)]
+        for i, body in enumerate(bodies):
+            for normals, offsets, pinned, c in self._fits(body):
+                x = JOHN_MODULE._working_set_solve(normals, offsets, c, pinned)
+                full = JOHN_MODULE._barrier_solve(normals, offsets, c, pinned)
+                center = c if pinned else x[3:5]
+                assert self._slack(normals, offsets, x, center).min() >= 0.0, (i, pinned)
+                logdet = math.log(x[0] * x[1] - x[2] ** 2)
+                assert abs(logdet - math.log(full[0] * full[1] - full[2] ** 2)) <= 1e-12
+
+    def test_pinned_seed_26_at_16384(self):
+        # over all 16384 normals this fit runs out of max_inner = 400 steps
+        # at t = 2.68e7
+        body = _resampled(26, 16384)
+        normals, offsets, shift, scale = JOHN_MODULE._support_constraints(body)
+        c = (centroid(body) - shift) / scale
+        x = JOHN_MODULE._working_set_solve(normals, offsets, c, pinned=True)
+        assert self._slack(normals, offsets, x, c).min() >= 0.0
+
+    def test_start_outside_at_a_later_normal_raises_before_any_fit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no fit may start")
+        monkeypatch.setattr(JOHN_MODULE, "_barrier_solve", refuse)
+        g = Grid(8192)
+        body = disk(g)
+        # just outside the unit disk at normal 16, which the first working set
+        # (every 32nd normal) lacks: inside at every normal of that set
+        center = (1.0 + 1e-6) * np.array([math.cos(g.theta[16]), math.sin(g.theta[16])])
+        normals, offsets, shift, scale = JOHN_MODULE._support_constraints(body)
+        room = offsets - normals @ ((center - shift) / scale)
+        assert room[::32].min() > 0.0 and room[16] < 0.0
+        with pytest.raises(EllipseSolveError, match="not strictly interior") as info:
+            john(body, center=center)
+        assert info.value.best is None
 
 
 class TestBarrierWork:

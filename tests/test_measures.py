@@ -235,6 +235,14 @@ class TestStackedPath:
     """The checks evaluate a path as stacked rows; each slope must still equal
     the per-body difference quotient bit for bit."""
 
+    @staticmethod
+    def _invalid_k(grid, defect):
+        # 1 + 0.1 cos 4t has h'' + h = 1 - 1.5 cos 4t; 1 + 1.5 cos t is the unit
+        # disk moved by 1.5, so its support dips to -0.5 at t = pi
+        t = grid.theta
+        vals = 1.0 + 0.1 * np.cos(4 * t) if defect == "nonconvex" else 1.0 + 1.5 * np.cos(t)
+        return SupportFunction(PeriodicSamples(vals, grid), validate=False)
+
     @pytest.mark.parametrize("n", [64, 256])
     def test_slopes_match_per_body_route(self, n):
         for kind, k, l, x in _variational_pairs(n):
@@ -248,18 +256,13 @@ class TestStackedPath:
         ("lp", 3.0, "nonconvex", NonconvexError),
         ("dual", 3.0, "nonconvex", NonconvexError),
         ("aleksandrov", None, "negative", NegativeSupportError),
-        # the per-body routes reject K itself before building a path body:
-        # p_sum needs h_K > 0, and K's dual volume needs the origin inside
-        ("lp", 1.0, "negative", ValueError),
+        # the per-body route rejects K itself before building a path body:
+        # K's dual volume needs the origin inside
         ("dual", 3.0, "negative", OriginOnBoundaryError),
     ])
     def test_invalid_k_raises_the_path_body_error(self, grid256, unit_disk,
                                                   kind, x, defect, error):
-        t = grid256.theta
-        # 1 + 0.1 cos 4t has h'' + h = 1 - 1.5 cos 4t; 1 + 1.5 cos t is the unit
-        # disk moved by 1.5, so its support dips to -0.5 at t = pi
-        vals = 1.0 + 0.1 * np.cos(4 * t) if defect == "nonconvex" else 1.0 + 1.5 * np.cos(t)
-        k = SupportFunction(PeriodicSamples(vals, grid256), validate=False)
+        k = self._invalid_k(grid256, defect)
         with pytest.raises(error) as route:
             _per_body_slopes(kind, k, unit_disk, x)
         with pytest.raises(error) as stacked:
@@ -269,6 +272,20 @@ class TestStackedPath:
         if error in (NonconvexError, NegativeSupportError):
             assert (stacked.value.theta, stacked.value.value) == \
                 (route.value.theta, route.value.value)
+
+
+    @pytest.mark.parametrize("p", [1.0, 3.0])
+    def test_lp_names_k_negative_sample(self, grid256, unit_disk, p):
+        # K's own validation error, where the Firey path would raise a plain
+        # ValueError (p = 1) or SingularDensityError (p > 1) naming no sample
+        k = self._invalid_k(grid256, "negative")
+        with pytest.raises(NegativeSupportError) as own:
+            SupportFunction(PeriodicSamples(k.values, grid256))
+        with pytest.raises(NegativeSupportError) as stacked:
+            check_lp_variational(k, unit_disk, p)
+        assert str(stacked.value) == str(own.value)
+        assert (stacked.value.theta, stacked.value.value) == (own.value.theta, own.value.value)
+        assert stacked.value.theta == pytest.approx(np.pi) and stacked.value.value < 0.0
 
 
 class TestVariationalIdentities:
