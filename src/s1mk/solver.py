@@ -19,8 +19,9 @@ Introduction to Numerical Continuation Methods, SIAM 2003).  These stages,
 and Newton from an explicit start, assemble J as a dense matrix in Fortran
 order from ``diff_matrix``'s Fortran-ordered matrices and solve it in place
 by direct LAPACK getrf and getrs calls, checked by a condition estimate.
-Each Newton state takes h' and h'' from one ``diff`` call of order (1, 2),
-made by ``_state``.
+LAPACK is bound on first use, by ``lapack.lapack``, so importing the solver
+loads no scipy.  Each Newton state takes h' and h'' from one ``diff`` call of
+order (1, 2), made by ``_state``.
 
 On a grid of n >= 2 COARSE_N points without an explicit start, ``solve``
 first works on two grids (Xu, SIAM J. Numer. Anal. 33, 1996): it restricts
@@ -48,13 +49,13 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .body import SupportFunction
 from .errors import (NegativeSupportError, NonconvexError, ParameterRangeError,
                      SingularJacobianError, StagnationError)
 from .grid import (Grid, PeriodicSamples, _multiplier, diff, diff_matrix, resample, restrict,
                    tail_ratio)
+from .lapack import lapack
 from .measures import ProblemParams, _lp_factor, _require_finite, lp_dual_kernel, singular_floor
 
 RCOND_LIMIT = 1e-14
@@ -76,18 +77,15 @@ KRYLOV_RTOL = 1e-6
 KRYLOV_RESTART = 60
 KRYLOV_CYCLES = 2
 
-_GECON, _GETRF, _GETRS, _LANGE, _TRTRS = get_lapack_funcs(
-    ("gecon", "getrf", "getrs", "lange", "trtrs"), (np.empty((2, 2)),))
-
 
 def lu_factor(a: np.ndarray):
     """scipy's (lu, piv) bit for bit, by getrf without its checks; in place if Fortran."""
-    return _GETRF(a, overwrite_a=True)[:2]
+    return lapack("getrf")(a, overwrite_a=True)[:2]
 
 
 def lu_solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve from ``lu_factor``'s factors by getrs, bit for bit scipy's ``lu_solve``."""
-    return _GETRS(lu, piv, rhs)[0]
+    return lapack("getrs")(lu, piv, rhs)[0]
 
 
 @dataclass(frozen=True)
@@ -191,11 +189,11 @@ def linearized_spectrum(p: float, k_max: int = 16) -> LinearizedSpectrum:
 def _dense_step(state: SupportFunction, r, p, q) -> np.ndarray:
     """Newton step J s = -r by dense LU, checked by a LAPACK condition estimate."""
     jac = _jacobian_matrix(state, p, q)
-    anorm = float(_LANGE("1", jac))  # no |jac| temporary, unlike np.linalg.norm
+    anorm = float(lapack("lange")("1", jac))  # no |jac| temporary, unlike np.linalg.norm
     if not math.isfinite(anorm):  # NaN or inf when J has such an entry
         raise SingularJacobianError(f"linearization has a non-finite entry: 1-norm {anorm}")
     lu, piv = lu_factor(jac)  # an exactly zero pivot fails the estimate below
-    rcond, info = _GECON(lu, anorm, norm="1")
+    rcond, info = lapack("gecon")(lu, anorm, norm="1")
     if info != 0 or rcond < RCOND_LIMIT:
         raise SingularJacobianError(
             f"linearization condition estimate {1.0 / max(rcond, 1e-300):.2e}"
@@ -306,7 +304,7 @@ def _gmres(product, rhs: np.ndarray, iterations: list):
                 break
             np.divide(w, norm, out=basis[j + 1])
         k = len(rotations)
-        y, _ = _TRTRS(tri[:k, :k], np.array(g[:k]))
+        y, _ = lapack("trtrs")(tri[:k, :k], np.array(g[:k]))
         z += y @ basis[:k]
         x, jx = product(z)
         res = rhs - jx
