@@ -37,25 +37,43 @@ fixed; Boyd and Vandenberghe, Convex Optimization, 11.3 and 11.6).  Both fits
 start from the disk of radius 0.4 s0 about the start center (the Steiner
 point, or the pinned center), s0 being its least slack to a constraint of
 the working set; a start center not strictly inside at every sampled normal
-raises ``EllipseSolveError`` before any fit.  Constraint i
-contributes the self-concordant barrier of the second-order cone,
--log(r_i^2 - ||B u_i||^2) with r_i = h_i - <u_i, c>, whose parameter is 2, so
-the fit stops at the first stage t with 2m/t below 1e-11.  Every Newton step
-is solved by Cholesky and goes through one Armijo search with a roundoff pad;
-when the decrement lambda is below 1/4 it takes the full step on a finite
-barrier value alone.  Line-search trials are evaluated by value alone, and
-the gradient and Hessian are built in one pass, only at accepted points.  The
-final stage is centered until lambda^2 <= 1e-8, the intermediate ones, which
-only start the next stage, until lambda^2 <= 1e-3; any stage ends where
+raises ``EllipseSolveError`` before any fit.  Constraint i contributes
+-log(r_i^2 - ||B u_i||^2) with r_i = h_i - <u_i, c>, and the objective
+-t log det B.  There are two kernels for this one barrier:
+
+- A free fit iterates on x = (b11, b22, b12, c1, c2), where constraint i's
+  term is the self-concordant barrier of the second-order cone, whose
+  parameter is 2.  In (P, c) with P = B^2 its feasible set would not be
+  convex, sqrt(u^T P u) being concave in P.
+- A pinned fit iterates on p = (p11, p22, p12) of P = B^2.  With c fixed,
+  ||B u_i||^2 = u_i^T P u_i = <p, g_i> with g_i = (u1^2, u2^2, 2 u1 u2), so
+  every constraint is linear in p: a log-det program under linear
+  constraints (Vandenberghe, Boyd and Wu, SIAM J. Matrix Anal. Appl. 19,
+  1998).  Its barrier -(t/2) log det P - sum log(r_i^2 - <p, g_i>) is the
+  free fit's at that c, so the central path is the same, but each term has
+  parameter 1 and the gap is at most m/t.  An evaluation is a few array
+  operations on the fixed 3 x m table of the g_i, and the fit returns
+  B = sqrt(P) in closed form, as does every error it raises.
+
+Both fits stop at the first stage t with 2m/t below 1e-11, which is
+conservative for the pinned one.  Every Newton step is solved by Cholesky
+and goes through one Armijo search with a roundoff pad; when the decrement
+lambda is below 1/4 it takes the full step on a finite barrier value alone.
+Line-search trials are evaluated by value alone, and the gradient and
+Hessian are built in one pass, only at accepted points.  The final stage
+is centered until lambda^2 <= 1e-8, the intermediate ones, which only start
+the next stage, until lambda^2 <= 1e-3; any stage ends where
 lambda^2 reaches its roundoff floor, which it does from t of about 1e13 on:
 there a step from lambda^2 < 1/4 no longer cuts lambda^2 by 4x, and the
 stage ends after the next step.  A stage that instead runs out of
 ``max_inner`` steps or fails its backtracking search raises
 ``EllipseSolveError`` with the last iterate as ``best``; no stage is left
-uncentered silently.  ``max_inner`` = 400 bounds each working-set fit.  A
-fit over all normals at n >= 4096 has damped phases of a few hundred steps
-and can exceed it (the pinned fit of seed 26 resampled to n = 16384 does);
-the working-set fits of seeds 0-99 at n = 8192 and 16384 stay within it.
+uncentered silently.  ``max_inner`` = 400 bounds each working-set fit.
+Free fits over all normals at n = 8192 have damped phases at t of about 1e7
+whose longest stage takes up to 234 steps (seed 87 resampled); the pinned
+fits of seeds 8, 26, 92 and 99 there take at most 36 on P, and that of seed
+26 over all 16384 normals, which ran out of 400 steps on B, takes 53.  The
+working-set fits of seeds 0-99 at n = 8192 and 16384 stay well within it.
 Between stages a predictor moves the centered point along the central path's
 tangent, extrapolated in 1/t, and keeps the move, or else half or a quarter
 of it, where the barrier at the next t is finite.
@@ -133,39 +151,34 @@ class SandwichReport:
 WORKING_SET_FULL_N = 2048
 WORKING_SET_START = 256
 
-def _constraint_constants(normals, offsets, fixed_center):
-    """Per-fit arrays of the barrier that depend only on the constraints."""
+def _constraint_constants(normals, offsets):
+    """Per-fit arrays of the free fit's barrier that depend only on the
+    constraints."""
     a = np.ascontiguousarray(normals.T)    # rows a1 and a2
     a1, a2 = a
     return {
         "a": a,
         "offsets": offsets,
-        # offsets - <a_i, c> when the center is pinned
-        "room": None if fixed_center is None else offsets - normals @ fixed_center,
         # entries u11, u22, u12 of a_i a_i^T, one row each
         "gram": np.stack([a1 * a1, a2 * a2, a1 * a2]),
         # one row per unknown, filled in place by _barrier_grad_hess
-        "rows": np.empty((5 if fixed_center is None else 3, len(offsets))),
+        "rows": np.empty((5, len(offsets))),
     }
 
 
 def _barrier_value(x, t, cons):
-    """Barrier value at x = (b11, b22, b12[, c1, c2]) and the parts its
-    derivatives reuse; (inf, None) outside the domain."""
+    """Free fit's barrier value at x = (b11, b22, b12, c1, c2) and the parts
+    its derivatives reuse; (inf, None) outside the domain."""
     b11, b22, b12 = x[:3].tolist()
     det = b11 * b22 - b12 * b12
     if det <= 0.0 or b11 <= 0.0:
         return np.inf, None
 
-    # rows w1, w2 of B a_i (and <a_i, c> when the center is free)
-    r = cons["room"]
-    if r is None:
-        c1, c2 = x[3:5].tolist()
-        w = np.array([[b11, b12], [b12, b22], [c1, c2]]) @ cons["a"]
-        r = cons["offsets"] - w[2]
-        w = w[:2]
-    else:
-        w = np.array([[b11, b12], [b12, b22]]) @ cons["a"]
+    # rows w1, w2 of B a_i and <a_i, c>
+    c1, c2 = x[3:5].tolist()
+    w = np.array([[b11, b12], [b12, b22], [c1, c2]]) @ cons["a"]
+    r = cons["offsets"] - w[2]
+    w = w[:2]
     s = np.hypot(w[0], w[1])
     slack = r - s
     if slack.min() <= 0.0:
@@ -188,9 +201,7 @@ def _barrier_grad_hess(x, t, cons, parts):
     np.multiply(w, a, out=rows[:2])
     np.multiply(w[0], a[1], out=rows[2])
     rows[2] += w[1] * a[0]
-    free = cons["room"] is None
-    if free:
-        np.multiply(r, a, out=rows[3:])
+    np.multiply(r, a, out=rows[3:])
     weight = 2.0 / q
     rows *= weight
     grad = rows.sum(axis=1)
@@ -198,11 +209,10 @@ def _barrier_grad_hess(x, t, cons, parts):
 
     # -(Hessian of q_i) / q_i: a constant matrix per constraint, over q_i
     s11, s22, s12 = (cons["gram"] @ weight).tolist()
-    if free:
-        hess[3, 3] -= s11
-        hess[4, 4] -= s22
-        hess[3, 4] -= s12
-        hess[4, 3] -= s12
+    hess[3, 3] -= s11
+    hess[4, 4] -= s22
+    hess[3, 4] -= s12
+    hess[4, 3] -= s12
 
     # -t log det B: gradient -t m / det with m = (b22, b11, -2 b12), Hessian
     # t (m m^T / det^2 - H / det) with H the Hessian of det B
@@ -225,6 +235,75 @@ def _barrier_grad_hess(x, t, cons, parts):
     return grad, hess
 
 
+def _pinned_constants(normals, offsets, center):
+    """Per-fit arrays of the pinned fit's barrier in p = (p11, p22, p12)."""
+    a1, a2 = normals.T
+    room = offsets - normals @ center
+    return {
+        # g_i = (a1^2, a2^2, 2 a1 a2), so that a_i^T P a_i = <p, g_i>
+        "gram": np.stack([a1 * a1, a2 * a2, 2.0 * a1 * a2]),
+        "room2": room * room,
+        # g_i / q_i, filled in place by _pinned_grad_hess
+        "rows": np.empty((3, len(offsets))),
+    }
+
+
+def _pinned_value(p, t, cons):
+    """Pinned fit's barrier value at p = (p11, p22, p12) and the parts its
+    derivatives reuse; (inf, None) outside the domain."""
+    p11, p22, p12 = p.tolist()
+    det = p11 * p22 - p12 * p12
+    if det <= 0.0 or p11 <= 0.0:
+        return np.inf, None
+    # q_i = r_i^2 - <p, g_i> by subtraction, not from the slack as in the
+    # free kernel: on criterion 4's bodies and 20 more at n = 8192, pinned
+    # answers still agree with that form's to 9e-16 in log det B
+    q = cons["room2"] - p @ cons["gram"]
+    if q.min() <= 0.0:
+        return np.inf, None
+    phi = -0.5 * t * math.log(det) - float(np.log(q).sum())
+    return phi, (det, q)
+
+
+def _pinned_grad_hess(p, t, cons, parts):
+    """Gradient and Hessian of the barrier from ``_pinned_value``'s parts."""
+    p11, p22, p12 = p.tolist()
+    det, q = parts
+    # -log q_i has gradient g_i / q_i and Hessian g_i g_i^T / q_i^2
+    rows = np.divide(cons["gram"], q, out=cons["rows"])
+    grad = rows.sum(axis=1)
+    hess = rows @ rows.T
+
+    # -(t/2) log det P: gradient -(t/2) m / det with m = (p22, p11, -2 p12),
+    # Hessian (t/2) (m m^T / det^2 - H / det) with H the Hessian of det P
+    u, v = 0.5 * t / (det * det), 0.5 * t / det
+    grad[0] -= v * p22
+    grad[1] -= v * p11
+    grad[2] += 2.0 * v * p12
+    h01 = u * p11 * p22 - v
+    h02 = -2.0 * u * p22 * p12
+    h12 = -2.0 * u * p11 * p12
+    hess[0, 0] += u * p22 * p22
+    hess[1, 1] += u * p11 * p11
+    hess[2, 2] += 4.0 * u * p12 * p12 + 2.0 * v
+    hess[0, 1] += h01
+    hess[1, 0] += h01
+    hess[0, 2] += h02
+    hess[2, 0] += h02
+    hess[1, 2] += h12
+    hess[2, 1] += h12
+    return grad, hess
+
+
+def _sqrt_shape(p):
+    """(b11, b22, b12) of B = P^(1/2), in closed form for 2 x 2 P:
+    B = (P + sqrt(det P) I) / sqrt(tr P + 2 sqrt(det P))."""
+    p11, p22, p12 = p.tolist()
+    root = math.sqrt(p11 * p22 - p12 * p12)
+    scale = math.sqrt(p11 + p22 + 2.0 * root)
+    return np.array([(p11 + root) / scale, (p22 + root) / scale, p12 / scale])
+
+
 def _newton_solve(hess, rhs):
     """Solve hess @ step = rhs by Cholesky.  Where roundoff has cost hess its
     positive definiteness, solve by LU, with a ridge if hess is singular."""
@@ -242,19 +321,26 @@ def _barrier_solve(normals, offsets, center, pinned=False, max_inner=400):
     """Barrier Newton solution x = (b11, b22, b12[, c1, c2]) of the fit under
     ||B a_i|| + <a_i, c> <= b_i, the center free or, with ``pinned``, held at
     ``center``.  The start is the disk of radius 0.4 s0 about ``center``, s0
-    its least constraint slack, which the caller has checked is positive."""
+    its least constraint slack, which the caller has checked is positive.
+    A free fit iterates on x; a pinned one on p = (p11, p22, p12) of P = B^2,
+    and returns B (or raises with it as ``best``)."""
     m = len(offsets)
     s0 = float(np.min(offsets - normals @ center))
-    start = [0.4 * s0, 0.4 * s0, 0.0]
-    x = np.array(start if pinned else start + [center[0], center[1]])
-
-    cons = _constraint_constants(normals, offsets, center if pinned else None)
+    if pinned:
+        x = np.array([(0.4 * s0) ** 2, (0.4 * s0) ** 2, 0.0])
+        cons = _pinned_constants(normals, offsets, center)
+        value, grad_hess, shape = _pinned_value, _pinned_grad_hess, _sqrt_shape
+    else:
+        x = np.array([0.4 * s0, 0.4 * s0, 0.0, center[0], center[1]])
+        cons = _constraint_constants(normals, offsets)
+        value, grad_hess, shape = _barrier_value, _barrier_grad_hess, np.copy
     pad_per_phi = 32.0 * np.finfo(float).eps
     t = max(1.0, 0.05 * m)
     mu = 8.0
-    phi, parts = _barrier_value(x, t, cons)
+    phi, parts = value(x, t, cons)
     while True:
-        # each constraint's cone barrier has parameter 2, so the gap is at most 2m/t
+        # each constraint's cone barrier has parameter 2, so the gap is at
+        # most 2m/t (m/t in a pinned fit, whose terms have parameter 1)
         final = 2 * m / t < 1e-11
         # Only the final stage's center is returned, and its gap bound needs
         # it centered (Boyd and Vandenberghe 11.3.3).  An intermediate stage
@@ -262,7 +348,7 @@ def _barrier_solve(normals, offsets, center, pinned=False, max_inner=400):
         # moved 240 random-body fits by at most 1e-14 relative, and cut the
         # barrier values of TestBarrierWork's 20 fits from 1693 to 1452.
         centered = 1e-8 if final else 1e-3
-        grad, hess = _barrier_grad_hess(x, t, cons, parts)
+        grad, hess = grad_hess(x, t, cons, parts)
         prev = np.inf
         for _ in range(max_inner):
             rhs = -grad
@@ -292,51 +378,54 @@ def _barrier_solve(normals, offsets, center, pinned=False, max_inner=400):
             alpha = 1.0
             for _ in range(60):
                 cand = x + alpha * step
-                phi_c, parts = _barrier_value(cand, t, cons)
+                phi_c, parts = value(cand, t, cons)
                 if (phi_c <= phi - 0.25 * alpha * lam2 + pad
                         or (alpha == 1.0 and lam2 < 0.0625 and phi_c < np.inf)):
                     x, phi = cand, phi_c
-                    grad, hess = _barrier_grad_hess(x, t, cons, parts)
+                    grad, hess = grad_hess(x, t, cons, parts)
                     break
                 alpha *= 0.5
             else:
                 raise EllipseSolveError(
                     f"backtracking found no decrease at t = {t:.3g}, "
-                    f"lambda^2 = {lam2:.3g}", best=x.copy())
+                    f"lambda^2 = {lam2:.3g}", best=shape(x))
             if at_floor:
                 break
         else:
             raise EllipseSolveError(
                 f"stage t = {t:.3g} not centered in {max_inner} Newton steps, "
-                f"lambda^2 = {prev:.3g} still contracting", best=x.copy())
+                f"lambda^2 = {prev:.3g} still contracting", best=shape(x))
         if final:
             break
         # Predictor: on the central path H dx/dt = d, the gradient of log det B
-        # in x.  Extrapolated in 1/t from t to mu t, x moves by
-        # (1 - 1/mu) t H^-1 d.  The move is kept where the barrier at mu t is
-        # finite; if it leaves the domain, half and then a quarter of it are
-        # tried before the stage restarts from x.  Over the free and pinned
-        # fits of criterion 4's 200 random bodies, no stage restarts: of 5600
-        # moves, 4129 are kept in full, 1368 halved and 103 quartered, and
-        # from t = 1e4 to 1e6 the full move is never kept (698 halved, 102
-        # quartered).  These fits take 29 714 barrier values and 20 985
-        # gradient/Hessian builds, against 37 047 and 22 794 with the full
-        # move only and 50 282 and 27 390 with no predictor.
+        # (of 1/2 log det P in a pinned fit's p) in x.  Extrapolated in 1/t
+        # from t to mu t, x moves by (1 - 1/mu) t H^-1 d.  The move is kept
+        # where the barrier at mu t is finite; if it leaves the domain, half
+        # and then a quarter of it are tried before the stage restarts from
+        # x.  Over the free and pinned fits of criterion 4's 200 random
+        # bodies, no stage restarts: of 5600 moves, 4152 are kept in full,
+        # 1348 halved and 100 quartered, and from t = 1e4 to 1e6 the full
+        # move is never kept (701 halved, 99 quartered).  These fits take
+        # 29 881 barrier values and 21 373 gradient/Hessian builds; with the
+        # pinned fits iterating on B they took 29 728 and 20 999, against
+        # 37 047 and 22 794 with the full move only and 50 282 and 27 390
+        # with no predictor.
         d = np.zeros_like(x)
-        d[:3] = np.array([x[1], x[0], -2.0 * x[2]]) / (x[0] * x[1] - x[2] ** 2)
+        d[:3] = np.array([x[1], x[0], -2.0 * x[2]]) / (
+            (2.0 if pinned else 1.0) * (x[0] * x[1] - x[2] ** 2))
         move = (1.0 - 1.0 / mu) * t * _newton_solve(hess, d)
         t *= mu
         if t > 1e19:
-            raise EllipseSolveError("barrier parameter overflow", best=x.copy())
+            raise EllipseSolveError("barrier parameter overflow", best=shape(x))
         for frac in (1.0, 0.5, 0.25):
             cand = x + frac * move
-            phi, parts = _barrier_value(cand, t, cons)
+            phi, parts = value(cand, t, cons)
             if phi < np.inf:
                 x = cand
                 break
         else:
-            phi, parts = _barrier_value(x, t, cons)
-    return x
+            phi, parts = value(x, t, cons)
+    return shape(x)
 
 
 def _support_constraints(body: SupportFunction):

@@ -231,6 +231,35 @@ def _working_fit(pinned):
     return normals, offsets, fixed, x
 
 
+def _kernel_at(normals, offsets, fixed, x):
+    """The barrier kernel of a fit, free (``fixed`` None) or pinned at
+    ``fixed``, at the solution-form point x: (value, grad_hess, constants,
+    unknowns).  A pinned fit's unknowns are p = (p11, p22, p12) of P = B^2."""
+    if fixed is None:
+        return (JOHN_MODULE._barrier_value, JOHN_MODULE._barrier_grad_hess,
+                JOHN_MODULE._constraint_constants(normals, offsets), x)
+    b11, b22, b12 = x
+    p = np.array([b11 * b11 + b12 * b12, b22 * b22 + b12 * b12, b12 * (b11 + b22)])
+    return (JOHN_MODULE._pinned_value, JOHN_MODULE._pinned_grad_hess,
+            JOHN_MODULE._pinned_constants(normals, offsets, fixed), p)
+
+
+def _count_kernel_calls(monkeypatch):
+    """Counts of the value and gradient/Hessian calls of both barrier kernels,
+    updated as john() runs."""
+    calls = {"value": 0, "grad_hess": 0}
+    for name, key in (("_barrier_value", "value"), ("_pinned_value", "value"),
+                      ("_barrier_grad_hess", "grad_hess"),
+                      ("_pinned_grad_hess", "grad_hess")):
+        inner = getattr(JOHN_MODULE, name)
+
+        def wrapper(*args, _inner=inner, _key=key):
+            calls[_key] += 1
+            return _inner(*args)
+        monkeypatch.setattr(JOHN_MODULE, name, wrapper)
+    return calls
+
+
 class TestBarrierStopping:
     # Barrier evaluations for the fits below, measured under the earlier
     # rule that ran every stage until lambda^2 <= 1e-8 or max_inner = 80
@@ -239,19 +268,8 @@ class TestBarrierStopping:
 
     def test_stops_at_roundoff_floor(self, monkeypatch):
         # every evaluated point, a rejected trial or one whose gradient and
-        # Hessian are built next, passes through _barrier_value once
-        calls = {"value": 0, "grad_hess": 0}
-
-        def counted(name):
-            inner = getattr(JOHN_MODULE, name)
-
-            def wrapper(*args):
-                calls[name.removeprefix("_barrier_")] += 1
-                return inner(*args)
-            monkeypatch.setattr(JOHN_MODULE, name, wrapper)
-
-        counted("_barrier_value")
-        counted("_barrier_grad_hess")
+        # Hessian are built next, passes through a kernel's value once
+        calls = _count_kernel_calls(monkeypatch)
         g = Grid(256)
         for seed in range(10):
             body = s1mk.random_convex_body(np.random.default_rng(seed), g)
@@ -262,22 +280,40 @@ class TestBarrierStopping:
 
     def test_uncentered_stage_raises(self):
         body = s1mk.random_convex_body(np.random.default_rng(0), Grid(256))
-        normals, offsets, _, _ = JOHN_MODULE._support_constraints(body)
-        with pytest.raises(EllipseSolveError, match="not centered") as info:
-            JOHN_MODULE._barrier_solve(normals, offsets, np.zeros(2), max_inner=2)
-        assert info.value.best is not None and info.value.best.shape == (5,)
+        normals, offsets, shift, scale = JOHN_MODULE._support_constraints(body)
+        for pinned in (False, True):
+            c = (centroid(body) - shift) / scale if pinned else np.zeros(2)
+            with pytest.raises(EllipseSolveError, match="not centered") as info:
+                JOHN_MODULE._barrier_solve(normals, offsets, c, pinned=pinned,
+                                           max_inner=2)
+            best = info.value.best
+            # a pinned fit iterates on P = B^2 but reports B
+            assert best is not None and best.shape == ((3,) if pinned else (5,))
+            assert best[0] > 0.0 and best[0] * best[1] - best[2] ** 2 > 0.0
 
     def test_long_damped_stages_at_n_8192(self):
-        # Fits over all 8192 normals spend more than 80 Newton steps in a
-        # damped phase at t of about 1e7 (p: centroid-pinned); none needs more
-        # than 400.  john() fits these bodies on a working set, where no such
-        # phase occurs, so the barrier runs on the full constraints here.
+        # Fits over all 8192 normals can spend long damped phases at t of
+        # about 1e7 (p: centroid-pinned).  The free fits' longest stages take
+        # 54 (26), 88 (37) and 234 (87) Newton steps.  The pinned fits, which
+        # iterate on P = B^2, take 24-36; iterating on B they took 47-237.
+        # Fit 87 still comes within 2x of the cap of 400.  john() fits these
+        # bodies on a working set, where no such phase occurs, so the barrier
+        # runs on the full constraints here.
         for label in ("8p", "26", "26p", "37", "87", "92p", "99p"):
             body = _resampled(int(label.rstrip("p")), 8192)
             normals, offsets, shift, scale = JOHN_MODULE._support_constraints(body)
             pinned = label.endswith("p")
             c = (centroid(body) - shift) / scale if pinned else np.zeros(2)
             JOHN_MODULE._barrier_solve(normals, offsets, c, pinned=pinned)
+
+    def test_full_set_pinned_seed_26_at_16384(self):
+        # iterating on B, this fit ran out of max_inner = 400 steps at t =
+        # 2.68e7; on P = B^2 its longest stage takes 53
+        body = _resampled(26, 16384)
+        normals, offsets, shift, scale = JOHN_MODULE._support_constraints(body)
+        c = (centroid(body) - shift) / scale
+        x = JOHN_MODULE._barrier_solve(normals, offsets, c, pinned=True, max_inner=400)
+        assert TestWorkingSet._slack(normals, offsets, x, c).min() >= 0.0
 
 
 class TestWorkingSet:
@@ -328,8 +364,6 @@ class TestWorkingSet:
                 assert abs(logdet - math.log(full[0] * full[1] - full[2] ** 2)) <= 1e-12
 
     def test_pinned_seed_26_at_16384(self):
-        # over all 16384 normals this fit runs out of max_inner = 400 steps
-        # at t = 2.68e7
         body = _resampled(26, 16384)
         normals, offsets, shift, scale = JOHN_MODULE._support_constraints(body)
         c = (centroid(body) - shift) / scale
@@ -354,47 +388,41 @@ class TestWorkingSet:
 
 
 class TestBarrierWork:
-    # _barrier_value and _barrier_grad_hess calls for the fits of
-    # TestBarrierStopping: 1482 and 1048 under the body's support constraints,
-    # 1452 and 1032 under the edges of the sampled boundary's hull with
+    # Value and gradient/Hessian calls of both kernels for the fits of
+    # TestBarrierStopping: 1487 and 1068 with the pinned fits on P = B^2,
+    # 1483 and 1049 with them on B (1482 and 1048 when the support
+    # constraints came in), 1452 and 1032 under the edges of the sampled boundary's hull with
     # intermediate stages centered only to lambda^2 <= 1e-3, 1693 and 1270
     # with every stage centered to 1e-8, Cholesky steps and a predictor that
     # halves a move leaving the domain, 2088 and 1366 with LU steps and a
     # full-or-nothing predictor, 2800 and 1626 with the earlier
     # -log(r - |B a|) barrier.  The pins allow under 5% above the hull
-    # form's pair (2.6% and 3.1% above the first).
+    # form's pair (2.2% and 1.1% above the first).
     MAX_VALUE_CALLS = 1520
     MAX_GRAD_HESS_CALLS = 1080
 
     def test_barrier_calls_pinned(self, monkeypatch):
-        calls = {"_barrier_value": 0, "_barrier_grad_hess": 0}
-        for name in calls:
-            inner = getattr(JOHN_MODULE, name)
-
-            def wrapper(*args, _inner=inner, _name=name):
-                calls[_name] += 1
-                return _inner(*args)
-            monkeypatch.setattr(JOHN_MODULE, name, wrapper)
+        calls = _count_kernel_calls(monkeypatch)
         g = Grid(256)
         for seed in range(10):
             body = s1mk.random_convex_body(np.random.default_rng(seed), g)
             john(body)
             john(body, center=centroid(body))
-        assert calls["_barrier_value"] <= self.MAX_VALUE_CALLS
-        assert calls["_barrier_grad_hess"] <= self.MAX_GRAD_HESS_CALLS
+        assert calls["value"] <= self.MAX_VALUE_CALLS
+        assert calls["grad_hess"] <= self.MAX_GRAD_HESS_CALLS
 
     @pytest.mark.parametrize("pinned", [False, True])
     @pytest.mark.parametrize("t", [1.0, 1e3, 1e6])
     def test_derivatives_match_central_differences(self, pinned, t):
         normals, offsets, fixed, x = _working_fit(pinned)
         x[:3] *= 0.5  # half the fitted ellipse: off the central path
-        cons = JOHN_MODULE._constraint_constants(normals, offsets, fixed)
+        barrier, grad_hess, cons, x = _kernel_at(normals, offsets, fixed, x)
 
         def value(y):
-            return JOHN_MODULE._barrier_value(y, t, cons)[0]
+            return barrier(y, t, cons)[0]
 
-        _, parts = JOHN_MODULE._barrier_value(x, t, cons)
-        grad, hess = JOHN_MODULE._barrier_grad_hess(x, t, cons, parts)
+        _, parts = barrier(x, t, cons)
+        grad, hess = grad_hess(x, t, cons, parts)
         steps = 1e-4 * np.eye(len(x))
         grad_fd = np.array([(value(x + e) - value(x - e)) / 2e-4 for e in steps])
         hess_fd = np.array([[(value(x + e + f) - value(x + e - f)
@@ -402,6 +430,34 @@ class TestBarrierWork:
                              for f in steps] for e in steps])
         assert np.abs(grad_fd - grad).max() <= 1e-6 * np.abs(grad).max()
         assert np.abs(hess_fd - hess).max() <= 1e-6 * np.abs(hess).max()
+
+
+class TestPinnedKernel:
+    """A pinned fit iterates on P = B^2, where its constraints are linear."""
+
+    def test_sqrt_shape_squares_back(self):
+        rng = np.random.default_rng(2)
+        for _ in range(100):
+            a = rng.standard_normal((2, 2))
+            p = a @ a.T + 1e-3 * np.eye(2)
+            b11, b22, b12 = JOHN_MODULE._sqrt_shape(np.array([p[0, 0], p[1, 1], p[0, 1]]))
+            b = np.array([[b11, b12], [b12, b22]])
+            assert np.linalg.eigvalsh(b).min() > 0.0
+            assert np.abs(b @ b - p).max() <= 1e-14 * np.abs(p).max()
+
+    def test_pinned_at_the_free_center_agrees_with_the_free_fit(self):
+        # the free fit is optimal among ellipses with its own center, and
+        # both fits follow the same central path in t, so the pinned fit at
+        # that center must return it
+        bodies = [s1mk.random_convex_body(np.random.default_rng(seed), Grid(256))
+                  for seed in range(50)]
+        bodies += [body for _, body in s1mk.eccentric_battery()]
+        for i, body in enumerate(bodies):
+            free = john(body)
+            pinned = john(body, center=free.center)
+            assert abs(math.log(pinned.r1 * pinned.r2)
+                       - math.log(free.r1 * free.r2)) <= 1e-12, i
+            assert max(abs(pinned.r1 - free.r1), abs(pinned.r2 - free.r2)) <= 1e-12 * free.r1, i
 
 
 class TestNewtonSolve:
@@ -420,12 +476,12 @@ class TestNewtonSolve:
     def test_cholesky_matches_lu_on_barrier_hessian(self, solve_calls, pinned):
         normals, offsets, fixed, x = _working_fit(pinned)
         solve_calls.clear()
-        cons = JOHN_MODULE._constraint_constants(normals, offsets, fixed)
         for scale, t in ((0.5, 1e3), (1.0, 1e12)):
             y = x.copy()
             y[:3] *= scale
-            _, parts = JOHN_MODULE._barrier_value(y, t, cons)
-            grad, hess = JOHN_MODULE._barrier_grad_hess(y, t, cons, parts)
+            barrier, grad_hess, cons, y = _kernel_at(normals, offsets, fixed, y)
+            _, parts = barrier(y, t, cons)
+            grad, hess = grad_hess(y, t, cons, parts)
             step = JOHN_MODULE._newton_solve(hess, -grad)
             assert solve_calls == []     # Cholesky succeeded
             ref = np.linalg.solve(hess, -grad)
