@@ -185,64 +185,61 @@ def rho_at_normal(body: SupportFunction) -> PeriodicSamples:
     return PeriodicSamples(np.sqrt(h * h + hp * hp), body.grid)
 
 
+# Bisection halves one grid spacing (at most 0.4) to 1e-14 within 46 steps,
+# so the cap is never the exit.
+_RADIAL_MAX_STEPS = 64
+
+
 def radial(body: SupportFunction, out_grid: Grid | None = None) -> PeriodicSamples:
     """Radial function rho(xi) > 0 of the body at the angles of ``out_grid``.
 
-    For each direction the coarse minimum of h(u)/<u, xi> over grid normals is
-    refined by bisection on the boundary parametrization: the offset
-    psi(t) = h sin(t - a) + h' cos(t - a) is monotone in t on the forward half
-    circle (its derivative is (h'' + h) cos(t - a)), and its zero, bracketed
-    to 1e-10, is the normal angle of the boundary point on the ray with
-    direction angle a.
+    The boundary point with normal angle s has polar angle phi(s) =
+    s + atan(h'/h), increasing since phi' = h (h'' + h) / (h^2 + h'^2).  A
+    sorted search on phi at the grid normals brackets each direction a, and
+    Newton steps on phi(s) = a refine it from the chord, bisecting where a
+    step would leave the bracket.  A direction stops at |phi(s) - a| <= 1e-14
+    or a Newton step <= 1e-14.  The first alone runs to the cap where phi' is
+    large (roundoff holds the residual up to 3.8e-12 on a 20:1 ellipse at
+    n = 1024); the second alone bisects on at a zero of h'' + h, where noise
+    in the residual makes long steps (19 of them against 4).  rho is where
+    the ray meets the supporting line at s, h / cos(a - s): hypot(h, h') at
+    the root, second order in s - root off it, and free of the FFT roundoff
+    in h' (2.4e-11 against 6e-14 in h on that ellipse).
     """
     if out_grid is None:
         out_grid = body.grid
     if float(np.min(body.values)) <= 0.0:
         raise OriginOnBoundaryError("radial function needs the origin strictly inside")
 
-    a = out_grid.theta
-    t = body.grid.theta
-    h = body.values
-    hp = body.derivative.values
+    grid = body.grid
+    phi = grid.theta + np.arctan(body.derivative.values / body.values)
+    phi = np.append(phi, phi[0] + 2.0 * np.pi)
+    a = phi[0] + np.mod(out_grid.theta - phi[0], 2.0 * np.pi)
+    # a = phi[0] + 2 pi after rounding falls in the last bracket
+    j = np.minimum(np.searchsorted(phi, a, side="right") - 1, grid.n_points - 1)
+    lo = j * grid.spacing
+    hi = lo + grid.spacing
 
-    dif = t[None, :] - a[:, None]
-    cos_d = np.cos(dif)
-    sin_d = np.sin(dif)
-    gauge = np.where(cos_d > 1e-12, h[None, :] / np.where(cos_d > 1e-12, cos_d, 1.0), np.inf)
-    j0 = np.argmin(gauge, axis=1)
-
-    rows = np.arange(len(a))
-    psi0 = h[j0] * sin_d[rows, j0] + hp[j0] * cos_d[rows, j0]
-    spacing = body.grid.spacing
-    t0 = t[j0]
-    lo = np.where(psi0 <= 0.0, t0, t0 - spacing)
-    hi = np.where(psi0 <= 0.0, t0 + spacing, t0)
-
-    hs = body.h
-    hps = body.derivative
-
-    def offset(phi):
-        return (trig_eval(hs, phi) * np.sin(phi - a)
-                + trig_eval(hps, phi) * np.cos(phi - a))
-
-    # Widen any bracket that roundoff left without a sign change.
-    f_lo = offset(lo)
-    f_hi = offset(hi)
-    bad = f_lo > 0.0
-    lo[bad] -= spacing
-    bad = f_hi < 0.0
-    hi[bad] += spacing
-
-    n_iter = int(np.ceil(np.log2(2.0 * spacing / 1e-10))) + 1
-    for _ in range(n_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = offset(mid)
-        neg = f_mid <= 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-
-    phi = 0.5 * (lo + hi)
-    rho = trig_eval(hs, phi) * np.cos(phi - a) - trig_eval(hps, phi) * np.sin(phi - a)
+    rho = np.empty_like(a)
+    idx = np.arange(len(a))
+    # where h'' + h = 0 the Newton quotient is x/0 or 0/0, and bisection steps in
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = lo + grid.spacing * (a - phi[j]) / (phi[j + 1] - phi[j])
+        for _ in range(_RADIAL_MAX_STEPS):
+            h = trig_eval(body.h, s)
+            hp = trig_eval(body.derivative, s)
+            curv = trig_eval(body.curvature, s)
+            rho[idx] = h / np.cos(a[idx] - s)
+            g = s + np.arctan(hp / h) - a[idx]
+            lo = np.where(g < 0.0, s, lo)
+            hi = np.where(g > 0.0, s, hi)
+            step = g * (h * h + hp * hp) / (h * curv)
+            more = ~((np.abs(g) <= 1e-14) | (np.abs(step) <= 1e-14))
+            if not more.any():
+                break
+            new = s - step
+            new = np.where((new > lo) & (new < hi), new, 0.5 * (lo + hi))
+            idx, s, lo, hi = idx[more], new[more], lo[more], hi[more]
     return PeriodicSamples(rho, out_grid)
 
 

@@ -43,7 +43,7 @@ from .measures import (
     check_lp_variational,
     lp_dual_density,
 )
-from .solver import SolverConfig, solve
+from .solver import solve
 
 AGREE_TOL = 1e-6
 MAXPRINCIPLE_SLACK = 1e-6
@@ -364,13 +364,12 @@ def _uniqueness_instance(cfg: ExperimentConfig, eps: float, seed, grid: Grid) ->
     params = ProblemParams(cfg.p, cfg.q, f)
 
     rng = np.random.default_rng(seed)
-    scfg = SolverConfig()
     limits = []
     failures = 0
     for _ in range(cfg.starts):
         init = random_initial_body(rng, grid)
         try:
-            rep = solve(params, init, scfg)
+            rep = solve(params, init)
         except (StagnationError, SingularJacobianError):
             failures += 1
             continue

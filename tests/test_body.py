@@ -166,24 +166,76 @@ class TestBoundary:
                              - np.hypot(xy[:, 0], xy[:, 1]))) < 1e-12
 
 
+def _criterion_8_bodies():
+    g512 = Grid(512)
+    bodies = [disk(Grid(256), 1.0), ellipse_body(Grid(256), 2.0, 1.0)]
+    return bodies + [translate(s1mk.random_convex_body(np.random.default_rng(s), g512),
+                               (0.05, -0.03)) for s in (1, 2, 3)]
+
+
+def _ellipse_rho(theta, aspect):
+    return aspect / np.sqrt(np.cos(theta) ** 2 + aspect**2 * np.sin(theta) ** 2)
+
+
 class TestRadial:
     def test_shifted_disk_formula(self, grid256):
         d = disk(grid256, 1.0, center=(0.3, 0.0))
         t = grid256.theta
         exact = 0.3 * np.cos(t) + np.sqrt(1.0 - 0.09 * np.sin(t) ** 2)
-        assert np.max(np.abs(radial(d).values - exact)) < 1e-9
+        assert np.max(np.abs(radial(d).values - exact)) < 1e-13
 
     def test_ellipse_formula(self, ellipse21):
-        t = ellipse21.grid.theta
-        exact = 2.0 / np.sqrt(np.cos(t) ** 2 + 4.0 * np.sin(t) ** 2)
-        assert np.max(np.abs(radial(ellipse21).values - exact)) < 1e-9
+        exact = _ellipse_rho(ellipse21.grid.theta, 2.0)
+        assert np.max(np.abs(radial(ellipse21).values - exact)) < 1e-13
 
-    def test_output_grid_override(self, ellipse21):
-        out = Grid(128)
+    @pytest.mark.parametrize("n_out", [128, 1024])
+    def test_output_grid_override(self, ellipse21, n_out):
+        out = Grid(n_out)
         rho = radial(ellipse21, out_grid=out)
-        assert rho.n == 128
-        exact = 2.0 / np.sqrt(np.cos(out.theta) ** 2 + 4.0 * np.sin(out.theta) ** 2)
-        assert np.max(np.abs(rho.values - exact)) < 1e-9
+        assert rho.n == n_out
+        assert np.max(np.abs(rho.values - _ellipse_rho(out.theta, 2.0))) < 1e-13
+
+    @pytest.mark.parametrize("aspect", [2.0, 5.0, 10.0, 20.0])
+    def test_ellipses_at_1024(self, aspect):
+        body = ellipse_body(Grid(1024), aspect, 1.0)
+        exact = _ellipse_rho(body.grid.theta, aspect)
+        assert np.max(np.abs(radial(body).values - exact)) < 1e-13 * exact.max()
+
+    def test_zero_curvature_root(self):
+        # h'' + h = 1 - cos(2t) vanishes at t = 0 and pi, where the Newton
+        # quotient is 0/0 up to roundoff; by symmetry rho = h at the four axis
+        # directions
+        g = Grid(256)
+        body = from_samples(1.0 + np.cos(2.0 * g.theta) / 3.0, g)
+        axes = [0, 64, 128, 192]
+        assert np.max(np.abs(radial(body).values[axes] - body.values[axes])) < 1e-14
+
+    def test_trig_eval_calls(self, monkeypatch):
+        # three evaluations per Newton step, and these bodies take 1-4 steps
+        calls = []
+
+        def counting(samples, theta):
+            calls.append(1)
+            return trig_eval(samples, theta)
+
+        monkeypatch.setattr(body_module, "trig_eval", counting)
+        for body in _criterion_8_bodies():
+            calls.clear()
+            radial(body)
+            assert len(calls) <= 12
+
+    def test_memory_at_2048(self):
+        # trig_eval's m x n/2 angle and cosine tables, 32 MiB together; radial
+        # itself holds O(n) arrays
+        body = ellipse_body(Grid(2048), 2.0, 1.0)
+        body.curvature
+        tracemalloc.start()
+        try:
+            radial(body)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * 2**20
 
     def test_origin_on_boundary_rejected(self):
         g = Grid(256)

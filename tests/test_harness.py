@@ -309,7 +309,7 @@ class TestUniquenessFailures:
         # three agreeing limits must not count as agreement
         real, calls = harness.solve, []
 
-        def first_fails(params, initial, config):
+        def first_fails(params, initial, config=None):
             calls.append(initial)
             if len(calls) == 1 and failure == "raises":
                 raise StagnationError("forced", trace=[])

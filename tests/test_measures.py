@@ -109,7 +109,7 @@ class TestDualVolume:
     def test_matches_radial_oracle(self):
         # Criterion 8's bodies.  The radial route, (1/2) integral rho^q over
         # directions, shares no code with the curvature-measure route; its own
-        # bisection and quadrature error is below 1e-8 here.
+        # Newton root and quadrature error is below 1e-8 here.
         g512 = Grid(512)
         bodies = [disk(Grid(256), 1.0), s1mk.ellipse_body(Grid(256), 2.0, 1.0)]
         bodies += [translate(s1mk.random_convex_body(np.random.default_rng(s), g512),
