@@ -144,22 +144,23 @@ def diff_matrix(grid: Grid, order: int) -> np.ndarray:
     return mat
 
 
-def trig_eval(samples: PeriodicSamples, theta: np.ndarray) -> np.ndarray:
+def trig_eval(samples, theta: np.ndarray) -> np.ndarray:
     """Evaluate the trigonometric interpolant at arbitrary angles.
 
     The interpolant uses the balanced convention for the Nyquist mode
     (a pure cosine), so it is real and reproduces the samples at grid points.
+    It sums w_k (Re c_k cos k theta - Im c_k sin k theta) over modes 0..n/2,
+    w_k = 1 at the constant and Nyquist modes (real c_k) and 2 between.  A
+    sequence of samples on one grid gives one row each, from one table.
     """
-    v = samples.values
-    n = samples.n
-    c = np.fft.rfft(v) / n
+    single = isinstance(samples, PeriodicSamples)
+    v = np.array([s.values for s in ([samples] if single else samples)])
+    n = v.shape[1]
+    c = np.fft.rfft(v) * np.r_[1.0, np.full(n // 2 - 1, 2.0), 1.0] / n
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    k = np.arange(1, n // 2)
-    ang = theta[:, None] * k[None, :]
-    out = np.full(theta.shape, c[0].real)
-    out += 2.0 * (np.cos(ang) @ c[1 : n // 2].real - np.sin(ang) @ c[1 : n // 2].imag)
-    out += c[n // 2].real * np.cos((n // 2) * theta)
-    return out
+    ang = theta[:, None] * np.arange(n // 2 + 1)
+    out = c.real @ np.cos(ang).T - c.imag @ np.sin(ang).T
+    return out[0] if single else out
 
 
 def resample(samples: PeriodicSamples, out_grid: Grid) -> PeriodicSamples:

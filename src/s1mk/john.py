@@ -81,13 +81,12 @@ of it, where the barrier at the next t is finite.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .body import SupportFunction, boundary_xy, diameter
+from .body import SupportFunction, _json_object, boundary_xy, diameter
 from .errors import EllipseSolveError, ParameterRangeError
 from .lapack import lapack
 from .measures import lp_dual_density
@@ -555,7 +554,6 @@ def ellipse_to_json(ellipse: Ellipse) -> dict:
 
 
 def ellipse_from_json(data) -> Ellipse:
-    if isinstance(data, str):
-        data = json.loads(data)
+    data = _json_object(data, ("center", "r1", "r2", "angle"))
     return Ellipse(np.array(data["center"], dtype=float),
                    float(data["r1"]), float(data["r2"]), float(data["angle"]))

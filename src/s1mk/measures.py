@@ -145,6 +145,7 @@ def lp_dual_kernel(h: np.ndarray, hp: np.ndarray, curv: np.ndarray,
 
 
 def _density_core(body: SupportFunction, p: float, q: float) -> PeriodicSamples:
+    _require_finite_scalars(p=p, q=q)
     h = body.values
     hp = body.derivative.values
     if q < 2.0:
@@ -176,6 +177,7 @@ def lp_dual_density(body: SupportFunction, p: float, q: float) -> MeasureDensity
 
 
 def _check_dual_args(h: np.ndarray, q: float) -> None:
+    _require_finite_scalars(q=q)
     if q == 0.0:
         raise ParameterRangeError("dual volume index q must be nonzero")
     if h.min() <= 0.0:  # over all rows at once
@@ -268,8 +270,8 @@ def check_lp_variational(k: SupportFunction, l: SupportFunction,
     samples are validated first, so a negative one raises
     ``NegativeSupportError`` with its angle and value.
     """
-    if p < 1.0:
-        raise ParameterRangeError(f"variational check needs p >= 1, got {p}")
+    if not 1.0 <= p < math.inf:  # NaN fails too
+        raise ParameterRangeError(f"variational check needs finite p >= 1, got {p}")
     _check_samples(k.values, k.grid)
     hl = _common_grid(k, l).values
     hlp = hl**p

@@ -211,7 +211,7 @@ class TestRadial:
         assert np.max(np.abs(radial(body).values[axes] - body.values[axes])) < 1e-14
 
     def test_trig_eval_calls(self, monkeypatch):
-        # three evaluations per Newton step, and these bodies take 1-4 steps
+        # one evaluation per Newton step, and these bodies take 1-4 steps
         calls = []
 
         def counting(samples, theta):
@@ -222,7 +222,7 @@ class TestRadial:
         for body in _criterion_8_bodies():
             calls.clear()
             radial(body)
-            assert len(calls) <= 12
+            assert len(calls) <= 4
 
     def test_memory_at_2048(self):
         # trig_eval's m x n/2 angle and cosine tables, 32 MiB together; radial
@@ -425,6 +425,16 @@ class TestSerialization:
     def test_from_json_accepts_text(self, unit_disk):
         text = json.dumps(to_json(unit_disk))
         assert np.array_equal(from_json(text).values, unit_disk.values)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"n_points": 16}, r"lacks the keys \['h'\]"),
+        ({"h": None}, '"h" must be a list'),
+        ({"h": 1.0}, '"h" must be a list'),
+        ("[1.0, 2.0]", r"lacks the keys \['h'\]"),
+    ])
+    def test_from_json_names_what_is_missing(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            from_json(data)
 
 
 class TestConvexInvariants:

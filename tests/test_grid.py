@@ -151,6 +151,21 @@ class TestInterpolation:
         t = np.array([0.1, 1.7, 4.0, 6.2])
         assert np.max(np.abs(trig_eval(s, t) - np.cos(3 * t - 0.4))) < 1e-12
 
+    def test_trig_eval_rows_share_one_table(self, rng):
+        # a sequence of samples gives the single-sample rows, a pure Nyquist
+        # cosine among them, and each row reproduces its nodes
+        g = Grid(64)
+        rows = (trig_poly(g, [(rng.normal(), rng.normal()) for _ in range(8)]),
+                PeriodicSamples(np.cos(32 * g.theta), g),
+                PeriodicSamples(rng.standard_normal(64), g))
+        t = np.concatenate([g.theta, rng.uniform(0.0, 2.0 * np.pi, 50)])
+        table = trig_eval(rows, t)
+        assert table.shape == (3, t.size)
+        for s, row in zip(rows, table):
+            top = np.max(np.abs(s.values))
+            assert np.max(np.abs(row - trig_eval(s, t))) <= 1e-15 * top
+            assert np.max(np.abs(row[:64] - s.values)) <= 1e-13 * top
+
     def test_resample_band_limited(self):
         g = Grid(32)
         fine = Grid(128)

@@ -65,6 +65,13 @@ class TestEllipse:
             assert _ellipse_err(back, ell.r1, ell.r2, ell.center) == 0.0
             assert back.angle == ell.angle
 
+    @pytest.mark.parametrize("key", ["center", "r1", "r2", "angle"])
+    def test_json_names_a_missing_key(self, key):
+        data = ellipse_to_json(Ellipse((0.2, -0.1), 2.0, 1.0, 0.3))
+        del data[key]
+        with pytest.raises(ValueError, match=rf"lacks the keys \['{key}'\]"):
+            ellipse_from_json(data)
+
 
 class TestJohnRecovery:
     def test_disk(self):
