@@ -285,7 +285,7 @@ def minkowski_sum(k: SupportFunction, l: SupportFunction, t: float = 1.0) -> Sup
     (h''_K + h_K) + t (h''_L + h_L).  Across grids L is resampled and the
     sum differentiated.
     """
-    if t < 0.0:
+    if not 0.0 <= t < np.inf:  # NaN fails too
         raise ValueError(f"scale t must be nonnegative, got {t}")
     if l.grid != k.grid:
         hl = resample(l.h, k.grid)
@@ -302,7 +302,7 @@ def p_sum(k: SupportFunction, l: SupportFunction, t: float, p: float) -> Support
     """
     if not 1.0 <= p < np.inf:  # NaN fails too
         raise ParameterRangeError(f"p-sum needs finite p >= 1, got p = {p}")
-    if t < 0.0:
+    if not 0.0 <= t < np.inf:  # NaN fails too
         raise ValueError(f"scale t must be nonnegative, got {t}")
     hl = _common_grid(k, l).values
     return SupportFunction(PeriodicSamples(_firey(k.values, hl, t, p), k.grid))
@@ -358,7 +358,7 @@ def rotate(body: SupportFunction, phi: float) -> SupportFunction:
 
 def scale(body: SupportFunction, lam: float) -> SupportFunction:
     """The body dilated by lam > 0; carries lam h' and lam (h'' + h)."""
-    if lam <= 0.0:
+    if not 0.0 < lam < np.inf:  # NaN fails too
         raise ValueError(f"scale factor must be positive, got {lam}")
     return SupportFunction._carrying(lam * body.values, body.grid, lam * body.derivative.values,
                                      lam * body.curvature.values)

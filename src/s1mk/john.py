@@ -117,8 +117,10 @@ class Ellipse:
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if not (self.r1 >= self.r2 > 0.0):
-            raise ValueError(f"need r1 >= r2 > 0, got r1 = {self.r1}, r2 = {self.r2}")
+        if self.center.shape != (2,) or not np.isfinite(self.center).all():
+            raise ValueError(f"center must be two finite numbers, got {self.center}")
+        if not (math.inf > self.r1 >= self.r2 > 0.0):  # NaN fails too
+            raise ValueError(f"need finite r1 >= r2 > 0, got r1 = {self.r1}, r2 = {self.r2}")
         if not (0.0 <= self.angle < math.pi):
             raise ValueError(f"angle must lie in [0, pi), got {self.angle}")
 

@@ -1,19 +1,27 @@
-"""Float64 LAPACK routines by name, bound on first use.
+"""Float64 LAPACK routines by name, bound on first use from scipy's compiled f2py module
+``scipy.linalg._flapack`` by its file location: importing ``scipy.linalg`` would add 0.19 s
+(2-core x86_64) of package ``__init__`` that s1mk does not use.  ``import scipy`` stays: its
+distributor init locates the bundled OpenBLAS.  An extension is initialised once per process,
+so ``get_lapack_funcs`` returns these very objects."""
 
-``import s1mk`` does not load scipy.linalg, whose import takes about 0.14 s on
-a 2-core x86_64: the first dense Newton step, GMRES cycle or barrier Newton
-solve that needs a routine imports it here, and later calls return the same
-f2py object.
-"""
-
+import importlib.machinery
+import importlib.util
 from functools import cache
 
-import numpy as np
+
+@cache
+def _flapack():
+    import scipy
+    dirs = [d + "/linalg" for d in scipy.__path__]
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", dirs)
+    if spec is None:
+        raise ImportError(f"scipy.linalg._flapack not found in {dirs}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @cache
 def lapack(name: str):
     """scipy's f2py routine for the float64 LAPACK ``name``: dgetrf for "getrf"."""
-    from scipy.linalg import get_lapack_funcs
-
-    return get_lapack_funcs(name, (np.empty((2, 2)),))
+    return getattr(_flapack(), "d" + name)

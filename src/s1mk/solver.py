@@ -19,9 +19,9 @@ Introduction to Numerical Continuation Methods, SIAM 2003).  These stages,
 and Newton from an explicit start, assemble J as a dense matrix in Fortran
 order from ``diff_matrix``'s Fortran-ordered matrices and solve it in place
 by direct LAPACK getrf and getrs calls, checked by a condition estimate.
-LAPACK is bound on first use, by ``lapack.lapack``, so importing the solver
-loads no scipy.  Each Newton state takes h' and h'' from one ``diff`` call of
-order (1, 2), made by ``_state``.
+LAPACK is bound on first use by ``lapack.lapack``, from scipy's ``_flapack``
+extension alone, not the scipy.linalg package.  Each Newton state takes h'
+and h'' from one ``diff`` call of order (1, 2), made by ``_state``.
 
 On a grid of n >= 2 COARSE_N points without an explicit start, ``solve``
 first works on two grids (Xu, SIAM J. Numer. Anal. 33, 1996): it restricts

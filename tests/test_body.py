@@ -290,6 +290,17 @@ class TestArithmetic:
             with pytest.raises(ValueError, match="strictly positive"):
                 p_sum(k, l, 0.5, 2.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("combine, message", [
+        (lambda d, v: minkowski_sum(d, d, v), "scale t must be nonnegative"),
+        (lambda d, v: p_sum(d, d, v, 2.0), "scale t must be nonnegative"),
+        (lambda d, v: scale(d, v), "scale factor must be positive"),
+    ], ids=["minkowski_sum", "p_sum", "scale"])
+    def test_non_finite_scale_rejected(self, combine, message, value):
+        # the parameter is named, not a support sample it would spoil
+        with pytest.raises(ValueError, match=f"{message}, got {value}"):
+            combine(disk(Grid(64)), value)
+
     def test_cross_grid_p_sum_resamples(self, grid256):
         s = p_sum(disk(grid256, 1.0), disk(Grid(64), 2.0), 0.5, 2.0)
         assert s.grid == grid256

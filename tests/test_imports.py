@@ -1,15 +1,23 @@
-"""``import s1mk`` loads no scipy: LAPACK routines bind on first use, and the
-benchmark's ``s1mk.john.ConvexHull`` hook imports scipy.spatial only when it
-is read.  pytest's own configuration imports scipy.linalg (its filterwarnings
-names a scipy warning class), so the checks run in one fresh interpreter,
-which reports what it saw as JSON on its last line."""
+"""``import s1mk`` loads no scipy: LAPACK routines bind on first use, from
+scipy's compiled ``scipy.linalg._flapack`` alone, and the benchmark's
+``s1mk.john.ConvexHull`` hook imports scipy.spatial only when it is read.
+pytest's own configuration imports scipy.linalg (its filterwarnings names a
+scipy warning class), so the checks run in one fresh interpreter, which
+reports what it saw as JSON on its last line; the in-process test covers the
+other import order."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
+from scipy.linalg import get_lapack_funcs
+
+from s1mk.lapack import _flapack, lapack
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -51,6 +59,11 @@ seen["lookups after n = 64 solve and john"] = lapack.cache_info().currsize
 rep = s1mk.solve(ProblemParams(0.5, 3.0, gen_f("bump", 2.0, 1, Grid(256)), lam=2.0))
 seen["n = 256 converged by GMRES"] = rep.converged and rep.krylov_iterations > 0
 seen["lookups after n = 256 solve"] = lapack.cache_info().currsize
+with contextlib.redirect_stdout(io.StringIO()):
+    seen["solve code"] = s1mk.cli.main(["solve", "--p", "0.5", "--q", "3", "--grid", "64",
+                                        "--f-kind", "trig", "--seed", "1", "--out", out])
+seen["scipy.linalg loaded by the solves and the fit"] = sorted(
+    m for m in sys.modules if m.startswith("scipy.linalg"))
 seen["scipy.spatial loaded by the fits"] = "scipy.spatial" in sys.modules
 
 from scipy.linalg import get_lapack_funcs
@@ -103,3 +116,25 @@ def test_convex_hull_hook_imports_qhull_when_read(seen):
     assert seen["hook is ConvexHull"] is True
     assert seen["unknown name"] == [
         "AttributeError", "module 's1mk.john' has no attribute 'NoSuchName'"]
+
+
+def test_lapack_loads_only_the_extension(seen):
+    assert seen["solve code"] == 0
+    assert seen["scipy.linalg loaded by the solves and the fit"] == ["scipy.linalg._flapack"]
+
+
+@pytest.mark.parametrize("name", ROUTINES)
+def test_same_routine_when_scipy_linalg_came_first(name):
+    # here scipy.linalg was imported by pytest's configuration before any lookup
+    assert lapack(name) is get_lapack_funcs((name,), (np.empty((2, 2)),))[0]
+
+
+def test_missing_extension_names_where_it_looked(monkeypatch, tmp_path):
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    _flapack.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=re.escape(
+                f"scipy.linalg._flapack not found in {[str(tmp_path / 'linalg')]}")):
+            _flapack()
+    finally:
+        _flapack.cache_clear()  # the next lookup finds the real extension again

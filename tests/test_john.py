@@ -73,6 +73,20 @@ class TestEllipse:
             ellipse_from_json(data)
 
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("center", None, "center must be two finite numbers"),
+        ("center", [0.2, -0.1, 0.0], "center must be two finite numbers"),
+        ("center", [0.2, math.inf], "center must be two finite numbers"),
+        ("r1", math.inf, "need finite r1 >= r2 > 0"),
+        ("r2", math.nan, "need finite r1 >= r2 > 0"),
+        ("angle", math.nan, "angle must lie in"),
+    ], ids=["center-None", "center-3", "center-inf", "r1-inf", "r2-nan", "angle-nan"])
+    def test_json_rejects_a_bad_field(self, field, value, message):
+        data = ellipse_to_json(Ellipse((0.2, -0.1), 2.0, 1.0, 0.3))
+        data[field] = value
+        with pytest.raises(ValueError, match=message):
+            ellipse_from_json(data)
+
 class TestJohnRecovery:
     def test_disk(self):
         d = disk(Grid(4096), 1.0)
