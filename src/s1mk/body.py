@@ -401,15 +401,41 @@ def _json_object(data, keys) -> dict:
     return data
 
 
+def _json_float(value, name: str) -> float:
+    """A JSON number as a float, an integer beyond the float range as inf;
+    ValueError naming ``name`` for null, a bool, a string, a list or an object."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
+
+
+def _json_samples(data, key: str) -> PeriodicSamples:
+    """The samples under ``key`` of parsed JSON, or ``data`` itself if it is a list.
+
+    They must be finite numbers, in an even count of at least 16 that sets
+    the grid and equals ``n_points`` where ``data`` gives it; ValueError
+    names what fails.
+    """
+    vals = data.get(key) if isinstance(data, dict) else data
+    if not isinstance(vals, list):
+        raise ValueError(f"\"{key}\" must be a list of samples, got {vals!r}")
+    values = np.array([_json_float(v, f"each sample under {key!r}") for v in vals], dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"the samples under {key!r} hold a non-finite value")
+    if values.size % 2 or values.size < 16:
+        raise ValueError(f"{values.size} samples under {key!r}; the grid needs an even count >= 16")
+    if isinstance(data, dict) and data.get("n_points", values.size) != values.size:
+        raise ValueError(f"n_points = {data['n_points']!r} but {values.size} samples")
+    return PeriodicSamples(values, Grid(values.size))
+
+
 def from_json(data, tol_convex: float | None = None) -> SupportFunction:
     """Rebuild a body from :func:`to_json` output (dict or JSON text).
 
-    The number of samples sets the grid; ``n_points``, where given, must equal it.
+    The samples are checked by ``_json_samples``: their count sets the grid.
     """
-    data = _json_object(data, ("h",))
-    if not isinstance(data["h"], list):
-        raise ValueError(f"\"h\" must be a list of support values, got {data['h']!r}")
-    h = np.array(data["h"], dtype=float)
-    if data.get("n_points", h.size) != h.size:
-        raise ValueError(f"n_points = {data['n_points']!r} but {h.size} support values")
-    return from_samples(h, Grid(h.size), tol_convex=tol_convex)
+    return SupportFunction(_json_samples(_json_object(data, ("h",)), "h"),
+                           tol_convex=tol_convex)

@@ -16,6 +16,7 @@ import numpy as np
 
 from .body import (
     SupportFunction,
+    _json_samples,
     area,
     centroid,
     diameter,
@@ -204,28 +205,13 @@ def _require(args, *names) -> None:
 
 
 def _load_samples(path: str, key: str) -> PeriodicSamples:
-    """The samples under ``key`` of a JSON file, on the grid their count sets.
-
-    ``n_points``, where the file gives it, must equal that count.
-    """
+    """The samples under ``key`` of a JSON file, or its bare list, checked by
+    ``body._json_samples``: their count sets the grid."""
     data = _load_json_file(path)
-    vals = data.get(key) if isinstance(data, dict) else data
-    if not isinstance(vals, list):
-        raise UsageError(f"{path} must hold a list of samples under {key!r}")
-    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in vals):
-        raise UsageError(f"{path}: the samples under {key!r} must be numbers")
     try:
-        values = np.array(vals, dtype=float)
-        finite = bool(np.all(np.isfinite(values)))
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
-        raise UsageError(f"{path}: the samples under {key!r} hold a non-finite value")
-    if len(vals) % 2 or len(vals) < 16:
-        raise UsageError(f"{path}: {len(vals)} samples; the grid needs an even count >= 16")
-    if isinstance(data, dict) and data.get("n_points", len(vals)) != len(vals):
-        raise UsageError(f"{path}: n_points = {data['n_points']!r} but {len(vals)} samples")
-    return PeriodicSamples(values, Grid(len(vals)))
+        return _json_samples(data, key)
+    except ValueError as exc:
+        raise UsageError(f"{path}: {exc}") from None
 
 
 def cmd_solve(args) -> int:

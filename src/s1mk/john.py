@@ -86,7 +86,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body import SupportFunction, _json_object, boundary_xy, diameter
+from .body import SupportFunction, _json_float, _json_object, boundary_xy, diameter
 from .errors import EllipseSolveError, ParameterRangeError
 from .lapack import lapack
 from .measures import lp_dual_density
@@ -556,6 +556,10 @@ def ellipse_to_json(ellipse: Ellipse) -> dict:
 
 
 def ellipse_from_json(data) -> Ellipse:
+    """An ellipse from JSON; ValueError names each key whose value is not a number."""
     data = _json_object(data, ("center", "r1", "r2", "angle"))
-    return Ellipse(np.array(data["center"], dtype=float),
-                   float(data["r1"]), float(data["r2"]), float(data["angle"]))
+    center = data["center"]
+    if not (isinstance(center, list) and len(center) == 2):
+        raise ValueError(f"center must be two finite numbers, got {center!r}")
+    return Ellipse(np.array([_json_float(c, "each center coordinate") for c in center]),
+                   *(_json_float(data[key], key) for key in ("r1", "r2", "angle")))

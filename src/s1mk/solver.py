@@ -379,6 +379,21 @@ def _state(h: np.ndarray, grid: Grid, validate: bool = True) -> SupportFunction:
     return SupportFunction._carrying(h, grid, hp.values, hpp.values + h, validate=validate)
 
 
+def _stage(state: SupportFunction, f, p, q, cfg: SolverConfig, trace: list, stages: list,
+           t_label: float, linear_solve=_dense_step):
+    """``_newton_stage``, whose step count is appended to ``stages`` even if it
+    raises; ending above the tolerance raises StagnationError naming the cap."""
+    before = len(trace)
+    try:
+        state, res_sup = _newton_stage(state, f, p, q, cfg, trace, t_label, linear_solve)
+    finally:
+        stages.append(len(trace) - before)
+    if not res_sup <= cfg.newton_tol:
+        raise StagnationError(f"no convergence in {cfg.max_newton} Newton steps at stage"
+                              f" t = {t_label:.3f}, residual {res_sup:.3e}", trace=trace)
+    return state, res_sup
+
+
 def _continuation(f: PeriodicSamples, p: float, q: float, cfg: SolverConfig,
                   step: float, trace: list, stages: list, min_step: float = MIN_STEP):
     """Damped Newton on the data (1 - t) mean(f) + t f, t rising from 0 to 1.
@@ -396,28 +411,17 @@ def _continuation(f: PeriodicSamples, p: float, q: float, cfg: SolverConfig,
     t0 = 0.0
     while t0 < 1.0:
         t = min(1.0, t0 + step)
-        before = len(trace)
-        err = None
         try:
-            reached, res_sup = _newton_stage(state, (1.0 - t) * mean_f + t * f.values,
-                                             p, q, cfg, trace, t)
+            state, res_sup = _stage(state, (1.0 - t) * mean_f + t * f.values, p, q, cfg,
+                                    trace, stages, t)
         except (StagnationError, SingularJacobianError) as exc:
-            # the traceback would keep the failed stage's Jacobian and LU alive
-            err = exc.with_traceback(None)
-        stages.append(len(trace) - before)
-        if err is None and res_sup <= cfg.newton_tol:
-            t0, state = t, reached
-            step *= 2.0
+            step = 0.5 * (t - t0)
+            if step < min_step:
+                # the traceback would keep the failed stage's Jacobian and LU alive
+                raise exc.with_traceback(None)
             continue
-        if err is None:
-            err = StagnationError(
-                f"no convergence in {cfg.max_newton} Newton steps at stage"
-                f" t = {t:.3f}, residual {res_sup:.3e}",
-                trace=trace,
-            )
-        step = 0.5 * (t - t0)
-        if step < min_step:
-            raise err
+        t0 = t
+        step *= 2.0
     return state, res_sup
 
 
@@ -425,49 +429,6 @@ def _level_grids(grid: Grid) -> list:
     """Coarse grids of the sequenced solve on ``grid``, in the order tried."""
     n = grid.n_points
     return [Grid(m) for m in (COARSE_N, 2 * COARSE_N) if n >= 2 * COARSE_N and n > m]
-
-
-def _sequenced(params: ProblemParams, cfg: SolverConfig, coarse: Grid, trace: list,
-               stages: list, levels: list, krylov: list | None = None):
-    """Solve on the ``coarse`` grid, then a Newton-Krylov polish on the data grid.
-
-    The coarse level runs ``_continuation`` with dense LU on the data
-    restricted to it; below 2 COARSE_N points only its direct attempt.  The
-    polish starts from the body prolonged by FFT and solves its Newton steps
-    by ``_krylov_step``, whose GMRES iteration counts go to ``krylov``; a
-    polish whose first step cannot be preconditioned fails in 0 steps.
-    Returns the fine-grid (state, residual sup, level gap), or None
-    if the restricted data are not positive or once a level raises or ends
-    unconverged; the steps taken stay in ``trace``, ``stages`` and
-    ``levels`` either way.
-    """
-    p, q, f = params.p, params.q, params.f
-    coarse_f = restrict(f, coarse)
-    if float(coarse_f.values.min()) <= 0.0:
-        return None
-    min_step = 1.0 if coarse.n_points < 2 * COARSE_N else MIN_STEP
-    before = len(trace)
-    try:
-        reached, res_sup = _continuation(coarse_f, p, q, cfg, 1.0, trace, stages, min_step)
-    except (StagnationError, SingularJacobianError):
-        res_sup = np.inf
-    levels.append((coarse.n_points, len(trace) - before))
-    if not res_sup <= cfg.newton_tol:
-        return None
-    start = resample(reached.h, f.grid).values
-    polish = partial(_krylov_step, iterations=[] if krylov is None else krylov)
-    before = len(trace)
-    try:
-        reached, res_sup = _newton_stage(_state(start, f.grid, validate=False), f.values,
-                                         p, q, cfg, trace, 1.0, polish)
-    except (StagnationError, SingularJacobianError):
-        res_sup = np.inf
-    stages.append(len(trace) - before)
-    levels.append((f.grid.n_points, stages[-1]))
-    if not res_sup <= cfg.newton_tol:
-        return None
-    h = reached.values
-    return reached, res_sup, float(np.max(np.abs(h - start)) / np.max(h))
 
 
 def solve(params: ProblemParams, initial: SupportFunction | None = None,
@@ -478,11 +439,12 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
     for the constant data mean(f).  If it raises or ends unconverged, the
     data are ramped from mean(f) to f in stages whose step is halved on
     failure; the trace, iterations and stage_iterations keep every attempt.
-    On a grid of at least 2 COARSE_N points, ``_sequenced`` first runs the
-    direct attempt alone on COARSE_N points and polishes its answer on the
-    full grid.  If either level fails, it runs again from 2 COARSE_N points
-    with this policy, if the grid is finer than that; only if that fails
-    too, or is not tried, does the policy run on the full grid.
+    On a grid of at least 2 COARSE_N points, it first runs the direct
+    attempt alone on COARSE_N points and polishes its answer on the full
+    grid by ``_stage`` with ``_krylov_step``.  If either level fails, it runs
+    again from 2 COARSE_N points with this policy, if the grid is finer than
+    that; only if that fails too, or is not tried, does the policy run on the
+    full grid.  A coarse grid whose restricted data are not positive is skipped.
     An explicit ``initial`` means direct Newton from that body on the full
     grid with no fallback: errors propagate and an unconverged run is
     returned with ``converged=False``.
@@ -502,26 +464,41 @@ def solve(params: ProblemParams, initial: SupportFunction | None = None,
     grid = f.grid
     trace, stages, levels, krylov = [], [], [], []
     level_gap = None
+
+    def level(on: Grid, run, *args):
+        """``run(*args)``, whose Newton steps, raised or not, make the level (n, steps)."""
+        before = len(trace)
+        try:
+            return run(*args)
+        finally:
+            levels.append((on.n_points, len(trace) - before))
+
     if initial is not None:
         if initial.grid.n_points != grid.n_points:
             raise ValueError("initial body must live on the data grid")
         _require_finite(initial.h, "initial body")
-        state, res_sup = _newton_stage(_state(initial.values.copy(), grid, validate=False),
-                                       f.values, p, q, cfg, trace, 1.0)
+        start = _state(initial.values.copy(), grid, validate=False)
+        state, res_sup = level(grid, _newton_stage, start, f.values, p, q, cfg, trace, 1.0)
         stages.append(len(trace))
-        levels.append((grid.n_points, len(trace)))
     else:
-        sequenced = None
+        polish = partial(_krylov_step, iterations=krylov)
         for coarse in _level_grids(grid):
-            sequenced = _sequenced(params, cfg, coarse, trace, stages, levels, krylov)
-            if sequenced is not None:
-                break
-        if sequenced is None:
-            before = len(trace)
-            state, res_sup = _continuation(f, p, q, cfg, 1.0, trace, stages)
-            levels.append((grid.n_points, len(trace) - before))
+            coarse_f = restrict(f, coarse)
+            if float(coarse_f.values.min()) <= 0.0:
+                continue
+            min_step = 1.0 if coarse.n_points < 2 * COARSE_N else MIN_STEP
+            try:
+                reached, _ = level(coarse, _continuation, coarse_f, p, q, cfg, 1.0, trace,
+                                   stages, min_step)
+                start = resample(reached.h, grid).values
+                state, res_sup = level(grid, _stage, _state(start, grid, validate=False),
+                                       f.values, p, q, cfg, trace, stages, 1.0, polish)
+            except (StagnationError, SingularJacobianError):
+                continue
+            level_gap = float(np.max(np.abs(state.values - start)) / np.max(state.values))
+            break
         else:
-            state, res_sup, level_gap = sequenced
+            state, res_sup = level(grid, _continuation, f, p, q, cfg, 1.0, trace, stages)
     return SolveReport(
         body=state,
         residual_sup=res_sup,

@@ -447,6 +447,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match=message):
             from_json(data)
 
+    @pytest.mark.parametrize("data, message", [
+        ({"n_points": 64, "h": [1.0] * 60}, "n_points = 64 but 60 samples"),
+        ({"h": ["1"] * 64}, "each sample under 'h' must be a number, got '1'"),
+        ({"h": [True] * 64}, "each sample under 'h' must be a number, got True"),
+        ({"h": [{}] * 64}, "each sample under 'h' must be a number, got {}"),
+        ({"h": [[1, 2]] * 16}, r"each sample under 'h' must be a number, got \[1, 2\]"),
+        ({"h": [float("nan")] + [1.0] * 63}, "the samples under 'h' hold a non-finite value"),
+        ({"h": [10**400] + [1.0] * 63}, "the samples under 'h' hold a non-finite value"),
+        ({"h": [1.0] * 63}, "63 samples under 'h'; the grid needs an even count >= 16"),
+        ({"h": [1.0] * 8}, "8 samples under 'h'; the grid needs an even count >= 16"),
+    ], ids=["count", "strings", "bools", "dicts", "nested", "nan", "overflow", "odd", "short"])
+    def test_from_json_rejects_malformed_samples(self, data, message):
+        # the checks of the CLI's body and data files, in one reader
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            from_json(data)
+
 
 class TestConvexInvariants:
     @given(st.integers(0, 2**31 - 1))

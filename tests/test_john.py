@@ -87,6 +87,28 @@ class TestEllipse:
         with pytest.raises(ValueError, match=message):
             ellipse_from_json(data)
 
+    @pytest.mark.parametrize("value", [None, {"x": 1.0}, [1.0], True],
+                             ids=["null", "object", "list", "bool"])
+    @pytest.mark.parametrize("field, message", [
+        ("center", "center must be two finite numbers"),
+        ("r1", "r1 must be a number"),
+        ("r2", "r2 must be a number"),
+        ("angle", "angle must be a number"),
+    ], ids=["center", "r1", "r2", "angle"])
+    def test_json_rejects_a_non_number(self, field, message, value):
+        data = ellipse_to_json(Ellipse((0.2, -0.1), 2.0, 1.0, 0.3))
+        data[field] = value
+        with pytest.raises(ValueError, match=f"^{message}, got"):
+            ellipse_from_json(data)
+
+    @pytest.mark.parametrize("center", [[None, 0.0], [0.2, {"y": 0.0}], [True, 0.0]],
+                             ids=["null", "object", "bool"])
+    def test_json_rejects_a_non_number_center_coordinate(self, center):
+        data = ellipse_to_json(Ellipse((0.2, -0.1), 2.0, 1.0, 0.3))
+        data["center"] = center
+        with pytest.raises(ValueError, match="^each center coordinate must be a number, got"):
+            ellipse_from_json(data)
+
 class TestJohnRecovery:
     def test_disk(self):
         d = disk(Grid(4096), 1.0)

@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -469,6 +470,19 @@ class TestSolve:
         assert trace[0][0] == 1.0
         assert min(entry[0] for entry in trace) < 1.0
 
+    def test_step_cap_names_the_last_stage(self):
+        # one Newton step a stage leaves every stage unconverged: t = 1 and
+        # five halvings down to MIN_STEP, then the last stage's error
+        params = _params(0.5, 2.0, Grid(64))
+        trace, stages = [], []
+        with pytest.raises(StagnationError,
+                           match=r"^no convergence in 1 Newton steps at stage t = 0\.031,"
+                                 r" residual 2\.817e-04$") as exc_info:
+            solver._continuation(params.f, 0.5, 2.0, SolverConfig(max_newton=1), 1.0,
+                                 trace, stages)
+        assert exc_info.value.trace == trace and len(trace) == 6
+        assert stages == [1] * 6
+
     def test_failed_direct_attempt_stays_in_trace(self, grid256):
         # direct Newton stagnates on this data, at n = 128 and at n = 256;
         # the continuation converges.  The abandoned n = 128 steps come
@@ -653,10 +667,17 @@ class TestSequencing:
         # the sequence from n = 128 is abandoned at n = 512; solve runs it
         # again from n = 256, whose n = 512 polish succeeds
         attempt = solve(ProblemParams(0.5, 3.0, restrict(params.f, Grid(128))))
-        trace, stages, levels = [], [], []
-        state, res_sup, gap = solver._sequenced(params, SolverConfig(), Grid(256),
-                                                trace, stages, levels)
+        cfg, fine, trace, stages = SolverConfig(), Grid(512), [], []
+        coarse, _ = solver._continuation(restrict(params.f, Grid(256)), 0.5, 3.0, cfg, 1.0,
+                                         trace, stages)
+        levels = [(256, len(trace))]
+        start = resample(coarse.h, fine).values
+        state, res_sup = solver._stage(solver._state(start, fine, validate=False),
+                                       params.f.values, 0.5, 3.0, cfg, trace, stages, 1.0,
+                                       partial(solver._krylov_step, iterations=[]))
+        levels.append((512, len(trace) - levels[0][1]))
         h_ref = state.values
+        gap = float(np.max(np.abs(h_ref - start)) / np.max(h_ref))
         abandoned = len(rep.trace) - len(trace)
         assert rep.converged and rep.level_gap == gap
         assert rep.levels[:2] == [(128, attempt.iterations), (512, 1)]
@@ -764,11 +785,29 @@ class TestSequencing:
         assert restrict(params.f, Grid(256)).values.min() < 0.0
         assert restrict(params.f, Grid(128)).values.min() < 0.0
         assert solver._level_grids(g) == [Grid(128), Grid(256)]
-        for coarse in (Grid(128), Grid(256)):
-            trace, stage_iterations, levels = [], [], []
-            rep = solver._sequenced(params, SolverConfig(), coarse, trace,
-                                    stage_iterations, levels)
-            assert rep is None and trace == stage_iterations == levels == []
+        # both coarse grids are skipped: solve fails with the trace of the
+        # full grid's own continuation, and no coarse step before it
+        with pytest.raises(StagnationError) as alone:
+            _continued(params)
+        with pytest.raises(StagnationError) as sequenced:
+            solve(params)
+        assert alone.value.trace and sequenced.value.trace == alone.value.trace
+        assert str(sequenced.value) == str(alone.value)
+
+    @pytest.mark.parametrize("n, q, levels", [
+        (256, 2.0, [(128, 13), (256, 0), (256, 29)]),
+        (512, 3.0, [(128, 11), (256, 25), (512, 0), (512, 33)]),
+    ], ids=["polish-fails", "direct-fails"])
+    def test_fallback_paths(self, n, q, levels):
+        # lambda = 5 bump data: at n = 256 the polish fails and the full grid
+        # runs; at n = 512 the n = 128 direct attempt fails, then the polish
+        # from n = 256, and the full grid runs
+        params = _params(0.5, q, Grid(n), seed=1, lam=5.0, kind="bump")
+        rep = solve(params)
+        h, trace, stages, res_sup = _continued(params)
+        assert rep.converged and rep.levels == levels and rep.level_gap is None
+        assert rep.trace[-len(trace):] == trace and rep.stage_iterations[-len(stages):] == stages
+        assert rep.residual_sup == res_sup and np.array_equal(rep.body.values, h)
 
 
 class TestResolution:
